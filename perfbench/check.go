@@ -102,20 +102,14 @@ func (c *checker) result(m map[string]metric) *result {
 	return &result{Attempted: c.attempted, Failed: c.failed, Metrics: m}
 }
 
-var batchWorkloads = map[string]batchWorkload{
-	"msb-table3":    msbTable3{},
-	"site-incident": siteIncident{},
-	"dist-plane":    distPlane{},
-}
-
-// regenerateGoldens recomputes workload's goldens for seeds 1..n with the
-// untraced entry points and rewrites path.
-func regenerateGoldens(e *env, workload string, n int, path string) error {
+// regenerateGoldens recomputes w's goldens for seeds 1..n with the untraced
+// entry points and rewrites path.
+func regenerateGoldens(e *env, w workload, n int, path string) error {
 	g := e.golden
 	entries := map[string]string{}
 	for seed := int64(1); seed <= int64(n); seed++ {
-		if w, ok := batchWorkloads[workload]; ok {
-			out, err := w.run(e, seed)
+		if w.batch != nil {
+			out, err := w.batch.run(e, seed)
 			if err != nil {
 				return err
 			}
@@ -134,7 +128,7 @@ func regenerateGoldens(e *env, workload string, n int, path string) error {
 		}
 		entries[bodyKey("ingest", seed, 0)] = digest(in.ingestR)
 	}
-	g[workload] = entries
+	g[w.name] = entries
 	b, err := json.MarshalIndent(g, "", " ")
 	if err != nil {
 		return err

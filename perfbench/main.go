@@ -86,18 +86,24 @@ type env struct {
 }
 
 // workload runs one benchmark workload. bench measures end-to-end metrics
-// with tracing off; traced reports per-layer metrics.
+// with tracing off; traced reports per-layer metrics. batch is set for the
+// workloads of serial ops.
 type workload struct {
 	name   string
 	bench  func(e *env) (*result, error)
 	traced func(e *env) (*result, error)
+	batch  batchWorkload
+}
+
+func batch(w batchWorkload) workload {
+	return workload{w.name(), benchBatch(w), tracedBatch(w), w}
 }
 
 var workloads = []workload{
-	{"msb-table3", benchBatch(msbTable3{}), tracedBatch(msbTable3{})},
-	{"site-incident", benchBatch(siteIncident{}), tracedBatch(siteIncident{})},
-	{"dist-plane", benchBatch(distPlane{}), tracedBatch(distPlane{})},
-	{"coordd-mix", benchCoordd, tracedCoordd},
+	batch(msbTable3{}),
+	batch(siteIncident{}),
+	batch(distPlane{}),
+	{"coordd-mix", benchCoordd, tracedCoordd, nil},
 }
 
 func main() {
@@ -127,7 +133,7 @@ func main() {
 	}
 	e := &env{seed: *seed, budget: time.Duration(*seconds) * time.Second, workdir: *workdir, spans: *spans, golden: g}
 	if *writeGoldens > 0 {
-		if err := regenerateGoldens(e, w.name, *writeGoldens, *goldenPath); err != nil {
+		if err := regenerateGoldens(e, w, *writeGoldens, *goldenPath); err != nil {
 			fatalf("%v", err)
 		}
 		return

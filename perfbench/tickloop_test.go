@@ -96,7 +96,7 @@ func tracedSelf(t *testing.T, seed int64, n int, delay map[spanKind]time.Duratio
 func TestAttributionNamesInjectedLayer(t *testing.T) {
 	const runs = 5
 	base := tracedSelf(t, 1, runs, nil)
-	// Spread: the range of each layer's self time over repeat baselines.
+	// A layer's spread is the gap between two baseline medians.
 	again := tracedSelf(t, 1, runs, nil)
 	slow := tracedSelf(t, 1, runs, map[spanKind]time.Duration{spanGuard: 20 * time.Microsecond})
 
