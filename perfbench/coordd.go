@@ -59,7 +59,7 @@ var coorddKinds = []reqKind{
 		return fmt.Sprintf(`{"p1":10,"p2":10,"p3":10,"seed":%d,"limit_mw":0.34,"outage_s":90,"admission":true,"guard":true,"max_charge_s":21600,"grid":"cap=230kW@0"}`, s)
 	}},
 	{"run-faults", "/api/v1/run", 0.2, func(s int64) string {
-		return fmt.Sprintf(`{"p1":10,"p2":10,"p3":10,"seed":%d,"limit_mw":0.225,"avg_dod":0.5,"faults":"default","watchdog_s":30}`, s)
+		return fmt.Sprintf(`{"p1":10,"p2":10,"p3":10,"seed":%d,"limit_mw":0.225,"avg_dod":0.3,"faults":"default","watchdog_s":30}`, s)
 	}},
 	{"advise", "/api/v1/advise", 0.1, func(s int64) string {
 		return fmt.Sprintf(`{"p1":10,"p2":10,"p3":10,"seed":%d,"avg_dod":0.5,"resolution_kw":20}`, s)
