@@ -15,10 +15,13 @@ import (
 // workloads key by op seed; coordd-mix by request kind, run seed and variant.
 type goldens map[string]map[string]string
 
-func loadGoldens(path string) (goldens, error) {
+// loadGoldens reads the committed goldens. A missing file is an error, so a
+// wrong path cannot pass every check unchecked; only regeneration (allowMissing)
+// may start from an empty set.
+func loadGoldens(path string, allowMissing bool) (goldens, error) {
 	g := goldens{}
 	b, err := os.ReadFile(path)
-	if errors.Is(err, fs.ErrNotExist) {
+	if allowMissing && errors.Is(err, fs.ErrNotExist) {
 		return g, nil
 	}
 	if err != nil {

@@ -115,6 +115,7 @@ func main() {
 	spans := flag.String("spans", "", "traced pass: write every span as JSON lines to this file")
 	goldenPath := flag.String("goldens", "perfbench/goldens.json", "golden summaries for the default seeds")
 	writeGoldens := flag.Int("write-goldens", 0, "regenerate the goldens of -workload for seeds 1..N and exit")
+	saturate := flag.Bool("saturation", false, "coordd-mix: measure the closed-loop rate the service sustains and exit")
 	flag.Parse()
 
 	w, ok := lookupWorkload(*name)
@@ -127,15 +128,29 @@ func main() {
 	if err := os.MkdirAll(*workdir, 0o755); err != nil {
 		fatalf("%v", err)
 	}
-	g, err := loadGoldens(*goldenPath)
+	g, err := loadGoldens(*goldenPath, *writeGoldens > 0)
 	if err != nil {
 		fatalf("%v", err)
+	}
+	if *writeGoldens == 0 && len(g[w.name]) == 0 {
+		fatalf("%s: no goldens for %s", *goldenPath, w.name)
 	}
 	e := &env{seed: *seed, budget: time.Duration(*seconds) * time.Second, workdir: *workdir, spans: *spans, golden: g}
 	if *writeGoldens > 0 {
 		if err := regenerateGoldens(e, w, *writeGoldens, *goldenPath); err != nil {
 			fatalf("%v", err)
 		}
+		return
+	}
+	if *saturate {
+		if w.batch != nil {
+			fatalf("-saturation applies to coordd-mix only")
+		}
+		rate, err := saturation(e)
+		if err != nil {
+			fatalf("%v", err)
+		}
+		fmt.Printf("{\"saturation_req_per_s\": %.3f}\n", rate)
 		return
 	}
 	run := w.bench

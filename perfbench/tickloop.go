@@ -157,17 +157,20 @@ func newTracedRun(spec scenario.CoordSpec, tr *tracer) (*tracedRun, error) {
 	var gen trace.Source = spec.Trace
 	if gen == nil {
 		scale := float64(n) / 316
+		s := tr.begin(spanTrace)
 		g, err := trace.NewGenerator(trace.Spec{
 			NumRacks:    n,
 			Seed:        spec.Seed,
 			TroughPower: units.Power(1.9e6 * scale),
 			PeakPower:   units.Power(2.1e6 * scale),
 		})
+		tr.end(s)
 		if err != nil {
 			return nil, err
 		}
 		gen = g
 	}
+	s := tr.begin(spanRack)
 	surface := battery.Fig5Surface()
 	racks := make([]*rack.Rack, n)
 	loads := make([]power.Load, n)
@@ -182,19 +185,22 @@ func newTracedRun(spec scenario.CoordSpec, tr *tracer) (*tracedRun, error) {
 		racks[i] = rack.New(fmt.Sprintf("rack%03d", i), p, spec.LocalPolicy, surface)
 		loads[i] = racks[i]
 	}
+	tr.end(s)
+	s = tr.begin(spanPower)
 	msb, err := power.Build(power.Spec{Name: "msb", MSBLimit: spec.MSBLimit}, loads)
-	if err != nil {
-		return nil, err
-	}
-	if *spec.RelaxLowerLevels {
+	if err == nil && *spec.RelaxLowerLevels {
 		msb.Walk(func(nd *power.Node) {
 			if nd != msb {
 				nd.SetLimit(100 * units.Megawatt)
 			}
 		})
 	}
-	if spec.TripRule != nil {
+	if err == nil && spec.TripRule != nil {
 		msb.Walk(func(nd *power.Node) { nd.SetTripRule(*spec.TripRule) })
+	}
+	tr.end(s)
+	if err != nil {
+		return nil, err
 	}
 	tc := &tracedRun{spec: spec, tr: tr, n: n, gen: gen, racks: racks, msb: msb, cfg: core.DefaultConfig()}
 	if spec.CommandLatency > 0 || spec.Distributed {
@@ -207,13 +213,17 @@ func newTracedRun(spec scenario.CoordSpec, tr *tracer) (*tracedRun, error) {
 		}
 	}
 	if spec.Grid != nil {
-		if tc.gridPol, err = grid.NewPolicy(spec.Grid); err != nil {
+		s := tr.begin(spanGrid)
+		tc.gridPol, err = grid.NewPolicy(spec.Grid)
+		tr.end(s)
+		if err != nil {
 			return nil, err
 		}
 		if spec.Obs != nil {
 			tc.gridPol.SetObs(spec.Obs)
 		}
 	}
+	s = tr.begin(spanDynamo)
 	if spec.Distributed {
 		tc.buildAsync()
 	} else {
@@ -229,9 +239,10 @@ func newTracedRun(spec scenario.CoordSpec, tr *tracer) (*tracedRun, error) {
 			Obs:         spec.Obs,
 			Grid:        tc.gridPol,
 		})
-		if err != nil {
-			return nil, err
-		}
+	}
+	tr.end(s)
+	if err != nil {
+		return nil, err
 	}
 	if tc.gridPol != nil {
 		var queue *storm.Queue
@@ -240,17 +251,22 @@ func newTracedRun(spec scenario.CoordSpec, tr *tracer) (*tracedRun, error) {
 		} else {
 			queue = tc.asyncUpper.StormQueue()
 		}
-		if err := tc.gridPol.Bind(msb, racks, queue, tc.cfg); err != nil {
+		s := tr.begin(spanGrid)
+		err := tc.gridPol.Bind(msb, racks, queue, tc.cfg)
+		tr.end(s)
+		if err != nil {
 			return nil, err
 		}
 	}
 
+	s = tr.begin(spanTrace)
 	peakT := trace.FirstPeak(gen, 24*time.Hour, time.Minute)
 	transLen := spec.OutageLen
 	if transLen == 0 {
 		avgLoad := float64(trace.Aggregate(gen, peakT)) / float64(n)
 		transLen = time.Duration(float64(spec.AvgDOD) * battery.RackFullEnergy / avgLoad * float64(time.Second))
 	}
+	tr.end(s)
 	transLen = transLen.Round(spec.Step)
 	if transLen < spec.Step {
 		transLen = spec.Step

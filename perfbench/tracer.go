@@ -159,12 +159,19 @@ func (lt *layerTotals) selfMsPerOp(k spanKind) float64 {
 	return ms(lt.self[k]) / float64(lt.ops)
 }
 
-// coverage is the share of traced op time that layer spans account for.
+// coverage is the share of traced op time spent inside the layer spans, the
+// kinds from spanTrace on. The scenario spans' own time (tick bookkeeping,
+// build and finish glue, all code of this package's replica loop) and the op's
+// own time are not covered, so a layer call that loses its span lowers it.
 func (lt *layerTotals) coverage() float64 {
 	if lt.dur == 0 {
 		return 0
 	}
-	return 1 - float64(lt.self[spanOp])/float64(lt.dur)
+	var layers time.Duration
+	for k := spanTrace; k < numSpanKinds; k++ {
+		layers += lt.self[k]
+	}
+	return float64(layers) / float64(lt.dur)
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
