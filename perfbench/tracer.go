@@ -15,15 +15,15 @@ type spanKind uint8
 const (
 	spanOp     spanKind = iota // one benchmark op (root)
 	spanRun                    // one coordinated run: build, ticks, finish
-	spanBuild                  // fleet, power tree, and control-plane construction
+	spanBuild                  // run construction; its self time is the glue between the constructors below
 	spanFinish                 // result aggregation after the tick loop
 	spanTick                   // one dense tick; its self time is scenario bookkeeping
-	spanTrace                  // trace.Frames
-	spanRack                   // rack.SetDemand / rack.Step over the fleet
-	spanPower                  // power.Deenergize / Reenergize / Tripped / Power
+	spanTrace                  // trace.Frames; at build, NewGenerator / FirstPeak / Aggregate
+	spanRack                   // rack.SetDemand / rack.Step over the fleet; at build, rack.New
+	spanPower                  // power.Deenergize / Reenergize / Tripped / Power; at build, power.Build
 	spanSim                    // sim.Engine.Run (bus delivery and async controllers included)
-	spanGrid                   // grid.Policy.Tick / Account
-	spanDynamo                 // every Controller.Tick from Hierarchy.Controllers()
+	spanGrid                   // grid.Policy.Tick / Account; at build, NewPolicy / Bind
+	spanDynamo                 // every Controller.Tick from Hierarchy.Controllers(); at build, the control plane
 	spanGuard                  // every storm.Guard.Tick
 	spanObs                    // fleet gauge refresh into the obs registry
 	numSpanKinds
