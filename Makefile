@@ -63,15 +63,16 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One pass over every benchmark, archived as machine-readable JSON.
+# One pass over every benchmark, archived as machine-readable JSON with
+# B/op and allocs/op beside ns/op.
 # Override the destination per snapshot: make bench-json BENCH_OUT=BENCH_PR7.json
 bench-json:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' ./... | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
+	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./... | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
 # Regression gate: one benchmark pass diffed against the committed baseline.
 # Fails if any benchmark is more than BENCH_TOLERANCE percent slower.
 bench-compare:
-	$(GO) test -bench=. -benchtime=1x -run='^$$' ./... | \
+	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./... | \
 		$(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE) \
 			-tolerance $(BENCH_TOLERANCE) -floor $(BENCH_FLOOR) \
 			-min-speedup $(BENCH_MIN_SPEEDUP)

@@ -180,3 +180,30 @@ func TestCompareFloorExemptsNoisyMicrobenchmarks(t *testing.T) {
 		t.Fatalf("missing under-floor benchmark passed the gate:\n%s", report)
 	}
 }
+
+// -benchmem (or b.ReportAllocs) appends B/op and allocs/op pairs: both are
+// archived as metrics, and the gate still diffs ns/op alone.
+func TestParseBenchmemUnits(t *testing.T) {
+	doc := docFromText(t, `pkg: coordcharge/internal/bus
+BenchmarkBusRequestReply-2   	 3317911	       450.5 ns/op	     192 B/op	       2 allocs/op
+BenchmarkDistributedControlPlane-2 	       1	 715235904 ns/op	        66.00 overrides	365476837 B/op	 3451681 allocs/op
+`)
+	if len(doc.Benchmarks) != 2 {
+		t.Fatalf("parsed %d benchmarks, want 2", len(doc.Benchmarks))
+	}
+	rr := doc.Benchmarks[0].Metrics
+	if rr["ns/op"] != 450.5 || rr["B/op"] != 192 || rr["allocs/op"] != 2 {
+		t.Errorf("BusRequestReply metrics = %v", rr)
+	}
+	dp := doc.Benchmarks[1].Metrics
+	if dp["overrides"] != 66 || dp["B/op"] != 365476837 || dp["allocs/op"] != 3451681 {
+		t.Errorf("DistributedControlPlane metrics = %v", dp)
+	}
+	// More allocations at the same speed do not trip the ns/op gate.
+	worse := docFromText(t, `BenchmarkBusRequestReply-2   	 3317911	       450.5 ns/op	     384 B/op	       4 allocs/op
+BenchmarkDistributedControlPlane-2 	       1	 715235904 ns/op	        66.00 overrides	365476837 B/op	 3451681 allocs/op
+`)
+	if report, ok := compare(doc, worse, 25, 0); !ok {
+		t.Errorf("allocation-only change failed the ns/op gate:\n%s", report)
+	}
+}

@@ -216,3 +216,80 @@ func TestPerturbAppliesToReplies(t *testing.T) {
 		t.Error("healed reply not delivered")
 	}
 }
+
+// Delivery events carry "bus:<kind>:<to>" labels, replies "bus:reply:<kind>:<requester>";
+// checkpoints record these labels, so they must not drift.
+func TestDeliveryEventLabels(t *testing.T) {
+	e := sim.NewEngine()
+	b := New(e, ConstantLatency(time.Millisecond))
+	b.Register("svc", func(now time.Duration, msg *Message) {
+		if msg.Kind == "ping" {
+			b.Reply(now, msg, nil)
+		}
+	})
+	b.Request("cli", "svc", "ping", nil, func(time.Duration, any) {})
+	b.Send("cli", "svc", "note", nil)
+	if got := e.Snapshot(); len(got) != 2 || got[0].Label != "bus:ping:svc" || got[1].Label != "bus:note:svc" {
+		t.Errorf("pending = %+v", got)
+	}
+	e.Step()
+	if got := e.Snapshot(); len(got) != 2 || got[1].Label != "bus:reply:ping:cli" {
+		t.Errorf("pending after the request landed = %+v", got)
+	}
+	e.RunAll()
+	// Replies go to the requester's callback, not an endpoint: only the
+	// request and the one-way note count as delivered.
+	if b.Delivered() != 2 || b.Dropped() != 0 {
+		t.Errorf("counters = %d/%d, want 2/0", b.Delivered(), b.Dropped())
+	}
+}
+
+// An endpoint resolves when the message arrives, not when it is sent.
+func TestRegisterBeforeArrivalDelivers(t *testing.T) {
+	e := sim.NewEngine()
+	b := New(e, ConstantLatency(time.Second))
+	b.Send("a", "late", "x", nil)
+	got := 0
+	b.Register("late", func(time.Duration, *Message) { got++ })
+	e.RunAll()
+	if got != 1 || b.Delivered() != 1 || b.Dropped() != 0 {
+		t.Errorf("got %d, counters %d/%d; want the message delivered", got, b.Delivered(), b.Dropped())
+	}
+}
+
+// A one-way send costs one allocation, the message: its delivery event is
+// recycled and its label interned.
+func TestSendAllocatesOnlyTheMessage(t *testing.T) {
+	e := sim.NewEngine()
+	b := New(e, ConstantLatency(time.Millisecond))
+	b.Register("dst", func(time.Duration, *Message) {})
+	allocs := testing.AllocsPerRun(100, func() {
+		b.Send("src", "dst", "ping", nil)
+		e.Step()
+	})
+	if allocs != 1 {
+		t.Errorf("Send→delivery allocates %v times, want 1", allocs)
+	}
+}
+
+// A round trip costs two allocations, the request and the reply, with no
+// reply closure or wrapper message (payloads are boxed by the caller).
+func TestRequestReplyAllocatesTwoMessages(t *testing.T) {
+	e := sim.NewEngine()
+	b := New(e, ConstantLatency(time.Millisecond))
+	var result any = 42
+	b.Register("svc", func(now time.Duration, msg *Message) { b.Reply(now, msg, result) })
+	replies := 0
+	onReply := func(time.Duration, any) { replies++ }
+	allocs := testing.AllocsPerRun(100, func() {
+		b.Request("cli", "svc", "read", nil, onReply)
+		e.Step()
+		e.Step()
+	})
+	if allocs != 2 {
+		t.Errorf("Request→Reply→onReply allocates %v times, want 2", allocs)
+	}
+	if replies != 101 {
+		t.Errorf("replies = %d, want 101", replies)
+	}
+}

@@ -255,3 +255,35 @@ func TestAsyncSurvivesMessageLoss(t *testing.T) {
 		t.Error("drop filter never engaged")
 	}
 }
+
+// asyncPollAllocBudget is the measured allocation count of one quiescent
+// poll generation over ten racks: the generation and its reply callback, the
+// poller's next tick, and per rack a read request, its boxed snapshot, the
+// reply message and an uncap.
+const asyncPollAllocBudget = 43
+
+// A poll generation's allocations are gated exactly: they are deterministic,
+// and the message plane's cost per poll is what the distributed plane's
+// pre-advance multiplies by thousands.
+func TestAsyncLeafPollAllocations(t *testing.T) {
+	prios := []rack.Priority{
+		rack.P1, rack.P1, rack.P1, rack.P2, rack.P2, rack.P2, rack.P2, rack.P3, rack.P3, rack.P3,
+	}
+	engine, _, racks, _ := asyncRow(t, prios, ModePriorityAware, power.DefaultRPPLimit, 10*time.Millisecond, 0)
+	for _, r := range racks {
+		r.SetDemand(6 * units.Kilowatt)
+	}
+	now := time.Duration(0)
+	generation := func() {
+		now += 3 * time.Second
+		engine.Run(now)
+	}
+	// Warm up until the engine's free list and queue have grown to the
+	// plane's steady state.
+	for i := 0; i < 5; i++ {
+		generation()
+	}
+	if allocs := testing.AllocsPerRun(20, generation); allocs > asyncPollAllocBudget {
+		t.Errorf("one poll generation allocates %v times, budget %d", allocs, asyncPollAllocBudget)
+	}
+}

@@ -24,3 +24,19 @@ func BenchmarkTickerHour(b *testing.B) {
 		tk.Stop()
 	}
 }
+
+// BenchmarkEngineStep is the per-event cost of the kernel: one Post into a
+// queue holding a message plane's worth of pending events, then one Step.
+func BenchmarkEngineStep(b *testing.B) {
+	e := NewEngine()
+	fire := Handler(func(time.Duration) {})
+	for i := 0; i < 128; i++ {
+		e.PostAfter(time.Duration(i)*time.Millisecond, "pending", fire)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		e.PostAfter(time.Duration(1+i%1000)*time.Millisecond, "step", fire)
+		e.Step()
+	}
+}
