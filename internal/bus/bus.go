@@ -70,8 +70,6 @@ type Bus struct {
 	replyKinds map[string]string
 	delivered  uint64
 	dropped    uint64
-	// DropFilter, when set, discards matching messages (fault injection).
-	DropFilter func(msg *Message) bool
 	// Perturb, when set, lets a fault injector act on every message —
 	// requests, one-way sends, and replies (replies are presented with
 	// Kind "reply:<kind>" and swapped From/To). Returning drop discards
@@ -141,8 +139,8 @@ func (b *Bus) endpoint(name string) *endpoint {
 // Delivered and Dropped report traffic counters.
 func (b *Bus) Delivered() uint64 { return b.delivered }
 
-// Dropped counts messages discarded by the DropFilter or the Perturb hook, and
-// messages sent to unknown endpoints.
+// Dropped counts messages discarded by the Perturb hook and messages sent to
+// unknown endpoints.
 func (b *Bus) Dropped() uint64 { return b.dropped }
 
 // Send dispatches a one-way message; delivery happens after the latency
@@ -173,14 +171,10 @@ func (b *Bus) Reply(now time.Duration, msg *Message, payload any) {
 	})
 }
 
-// dispatch applies the drop filter and fault perturbation to msg, then posts
-// it for delivery after the latency model's delay (plus any injected extra),
-// once per injected duplicate.
+// dispatch applies the fault perturbation to msg, then posts it for delivery
+// after the latency model's delay (plus any injected extra), once per
+// injected duplicate.
 func (b *Bus) dispatch(msg *Message) {
-	if b.DropFilter != nil && b.DropFilter(msg) {
-		b.dropped++
-		return
-	}
 	var extra time.Duration
 	var dup int
 	if b.Perturb != nil {

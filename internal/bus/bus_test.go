@@ -60,20 +60,6 @@ func TestUnknownEndpointDropped(t *testing.T) {
 	}
 }
 
-func TestDropFilter(t *testing.T) {
-	e := sim.NewEngine()
-	b := New(e, nil)
-	n := 0
-	b.Register("dst", func(time.Duration, *Message) { n++ })
-	b.DropFilter = func(m *Message) bool { return m.Kind == "lossy" }
-	b.Send("a", "dst", "lossy", nil)
-	b.Send("a", "dst", "ok", nil)
-	e.Run(time.Second)
-	if n != 1 || b.Dropped() != 1 {
-		t.Errorf("delivered=%d dropped=%d", n, b.Dropped())
-	}
-}
-
 func TestReplyToOneWayPanics(t *testing.T) {
 	e := sim.NewEngine()
 	b := New(e, nil)

@@ -293,13 +293,13 @@ func TestAsyncLeafRetriesLostOverride(t *testing.T) {
 		Retry: RetryPolicy{Timeout: 8 * time.Second, Backoff: 1, MaxAttempts: 4},
 	})
 	dropped := 0
-	b.DropFilter = func(m *bus.Message) bool {
+	dropWhen(b, func(m *bus.Message) bool {
 		if m.Kind == "override" && dropped == 0 {
 			dropped++
 			return true
 		}
 		return false
-	}
+	})
 	restoreAll(engine, racks, 9*units.Kilowatt) // DOD ≈ 0.357: plan wants 1 A over the charger's 2 A
 	driveAsync(engine, racks, 46*time.Second, 70*time.Second, time.Second)
 
@@ -363,7 +363,7 @@ func TestAsyncLeafEvaluatesDespitePersistentReadLoss(t *testing.T) {
 
 	// Rack fr1 becomes unreadable; commands still flow.
 	lost := AgentEndpoint(racks[1].Name())
-	b.DropFilter = func(m *bus.Message) bool { return m.Kind == "read" && m.To == lost }
+	dropWhen(b, func(m *bus.Message) bool { return m.Kind == "read" && m.To == lost })
 	driveAsync(engine, racks, 61*time.Second, 90*time.Second, time.Second)
 
 	m := leaf.Metrics()
@@ -408,7 +408,7 @@ func TestAsyncUpperDeadlineEvaluatesWithUnreachableLeaf(t *testing.T) {
 	}
 
 	silenced := LeafEndpoint("rppu1")
-	b.DropFilter = func(m *bus.Message) bool { return m.Kind == "aggregate" && m.To == silenced }
+	dropWhen(b, func(m *bus.Message) bool { return m.Kind == "aggregate" && m.To == silenced })
 	driveAsync(engine, racks, 61*time.Second, 100*time.Second, time.Second)
 
 	if got := upper.Metrics().StaleTelemetry; got == 0 {
