@@ -101,7 +101,7 @@ func (c *Controller) ExportState() (ControllerState, error) {
 		st.Postponed = append(st.Postponed, ri)
 	}
 	sort.Slice(st.Postponed, func(i, j int) bool { return st.Postponed[i].ID < st.Postponed[j].ID })
-	for idx, p := range c.pending {
+	for idx, p := range c.tracker.pending {
 		st.Pending = append(st.Pending, PendingState{
 			Idx: idx, Want: p.want, Attempts: p.attempts, IssuedAt: p.issuedAt, Due: p.due,
 		})
@@ -151,16 +151,13 @@ func (c *Controller) RestoreState(st ControllerState) error {
 		}
 		c.postponed[c.agents[ri.ID].Rack()] = ri
 	}
-	c.pending = nil
-	if len(st.Pending) > 0 {
-		c.pending = make(map[int]*pendingOverride, len(st.Pending))
-		for _, p := range st.Pending {
-			if p.Idx < 0 || p.Idx >= len(c.agents) {
-				return fmt.Errorf("dynamo: controller state for %s has pending override index %d out of range", st.Node, p.Idx)
-			}
-			c.pending[p.Idx] = &pendingOverride{
-				want: p.Want, attempts: p.Attempts, issuedAt: p.IssuedAt, due: p.Due,
-			}
+	clear(c.tracker.pending)
+	for _, p := range st.Pending {
+		if p.Idx < 0 || p.Idx >= len(c.agents) {
+			return fmt.Errorf("dynamo: controller state for %s has pending override index %d out of range", st.Node, p.Idx)
+		}
+		c.tracker.pending[p.Idx] = &pendingOverride{
+			want: p.Want, attempts: p.Attempts, issuedAt: p.IssuedAt, due: p.Due,
 		}
 	}
 	if st.Storm != nil {
