@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"coordcharge/internal/dynamo"
+	"coordcharge/internal/faults"
 	"coordcharge/internal/obs"
 	"coordcharge/internal/rack"
 	"coordcharge/internal/rng"
@@ -144,6 +145,33 @@ func TestCrashResumeDistributed(t *testing.T) {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 			t.Parallel()
 			checkChaosSeed(t, seed, true)
+		})
+	}
+}
+
+// TestCrashResumeSyncRetries resumes the synchronous plane with override
+// retries armed from checkpoints that hold no override in flight: one taken
+// before the outage, one deep in the drain. The resumed controllers must
+// keep tracking the overrides they send afterwards exactly as the
+// uninterrupted run does.
+func TestCrashResumeSyncRetries(t *testing.T) {
+	for seed := int64(1); seed <= 2; seed++ {
+		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
+			t.Parallel()
+			spec := stormSpec(seed)
+			spec.Faults = faults.Default()
+			spec.Faults.Seed = seed
+			spec.StaleAfter = 10 * time.Second
+			spec.Retry = dynamo.DefaultRetryPolicy()
+
+			wantSummary, wantDigest := runUninterrupted(t, spec)
+			gotSummary, gotDigest := runWithKills(t, spec, []time.Duration{45 * time.Second, 40 * time.Minute})
+			if gotDigest != wantDigest {
+				t.Errorf("flight digest diverged after kill-and-resume:\n  resumed       %s\n  uninterrupted %s", gotDigest, wantDigest)
+			}
+			if gotSummary != wantSummary {
+				t.Errorf("summary diverged after kill-and-resume:\n--- resumed ---\n%s--- uninterrupted ---\n%s", gotSummary, wantSummary)
+			}
 		})
 	}
 }
