@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"math"
 	"testing"
 	"time"
 
@@ -42,6 +43,41 @@ func TestDistributedPlaneMatchesSynchronous(t *testing.T) {
 	}
 	if len(async.Tripped) != 0 {
 		t.Errorf("distributed plane tripped breakers: %v", async.Tripped)
+	}
+}
+
+// Without coordination neither plane touches a charger: chargers follow
+// their local policy and the only protection is server capping, which comes
+// out the same on both planes.
+func TestDistributedModeNoneOnlyCaps(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full charging-period simulation")
+	}
+	base := smallSpec(dynamo.ModeNone, charger.Variable{}, 205, 0.7)
+	sync, err := RunCoordinated(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dist := base
+	dist.Distributed = true
+	async, err := RunCoordinated(dist)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, plane := range []struct {
+		name string
+		m    dynamo.Metrics
+	}{{"sync", sync.Metrics}, {"distributed", async.Metrics}} {
+		if plane.m.OverridesIssued != 0 || plane.m.ThrottleEvents != 0 {
+			t.Errorf("%s plane: %d overrides, %d throttle events, want none", plane.name, plane.m.OverridesIssued, plane.m.ThrottleEvents)
+		}
+	}
+	if sync.Metrics.MaxCapping <= 0 {
+		t.Fatalf("sync plane never capped; the arm does not exercise capping")
+	}
+	if d := math.Abs(float64(async.Metrics.MaxCapping-sync.Metrics.MaxCapping)) / float64(sync.Metrics.MaxCapping); d > 0.05 {
+		t.Errorf("max capping: distributed %v, sync %v (%.1f%% apart, want within 5%%)",
+			async.Metrics.MaxCapping, sync.Metrics.MaxCapping, 100*d)
 	}
 }
 
