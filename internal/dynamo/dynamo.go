@@ -78,6 +78,21 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode is the inverse of Mode.String, shared by every CLI flag and
+// request field that names a mode. The empty string selects
+// ModePriorityAware, the paper's algorithm.
+func ParseMode(s string) (Mode, error) {
+	if s == "" {
+		return ModePriorityAware, nil
+	}
+	for m := ModeNone; m <= ModePostpone; m++ {
+		if s == m.String() {
+			return m, nil
+		}
+	}
+	return 0, fmt.Errorf("dynamo: unknown mode %q (want none, global, priority-aware, or postpone)", s)
+}
+
 // Agent is the per-rack request handler on the TOR switch. It performs no
 // actions on its own (paper §IV-B): controllers issue reads and overrides
 // through it. With a fault injector attached, the agent models the failure

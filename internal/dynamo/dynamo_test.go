@@ -55,6 +55,25 @@ func TestModeString(t *testing.T) {
 	}
 }
 
+func TestParseModeAll(t *testing.T) {
+	cases := map[string]Mode{
+		"":               ModePriorityAware,
+		"priority-aware": ModePriorityAware,
+		"none":           ModeNone,
+		"global":         ModeGlobal,
+		"postpone":       ModePostpone,
+	}
+	for in, want := range cases {
+		got, err := ParseMode(in)
+		if err != nil || got != want {
+			t.Errorf("ParseMode(%q) = %v, %v", in, got, err)
+		}
+	}
+	if _, err := ParseMode("bogus"); err == nil {
+		t.Error("bogus mode accepted")
+	}
+}
+
 func TestAgentReadAndImmediateOverride(t *testing.T) {
 	_, racks := row(t, []rack.Priority{rack.P1}, charger.Variable{})
 	a := NewAgent(racks[0], nil, 0)
