@@ -10,6 +10,9 @@
 //
 //	advisor -p1 89 -p2 142 -p3 85 -dod 0.7 -mode priority-aware
 //	advisor -mode none -policy original        # the uncoordinated baseline
+//
+// The flags bind an svc.AdvisorRequest, the type POST /api/v1/advise decodes
+// and an experiment file's "advisor" section holds.
 package main
 
 import (
@@ -17,49 +20,22 @@ import (
 	"fmt"
 	"os"
 
-	"coordcharge/internal/charger"
-	"coordcharge/internal/dynamo"
 	"coordcharge/internal/scenario"
-	"coordcharge/internal/units"
+	"coordcharge/internal/svc"
 )
 
 func main() {
-	p1 := flag.Int("p1", 89, "P1 rack count")
-	p2 := flag.Int("p2", 142, "P2 rack count")
-	p3 := flag.Int("p3", 85, "P3 rack count")
-	dod := flag.Float64("dod", 0.7, "discharge level to provision for")
-	modeStr := flag.String("mode", "priority-aware", "none, global, priority-aware, or postpone")
-	policyStr := flag.String("policy", "variable", "local charger: original or variable")
-	seed := flag.Int64("seed", 1, "trace seed")
-	resKW := flag.Float64("res", 10, "limit search resolution in kW")
+	q := svc.AdvisorRequest{
+		P1: 89, P2: 142, P3: 85, AvgDOD: 0.7, Seed: 1, ResolutionKW: 10,
+		Mode: "priority-aware", Policy: "variable",
+	}
+	q.Flags(flag.CommandLine)
 	csv := flag.Bool("csv", false, "emit CSV")
 	flag.Parse()
 
-	var mode dynamo.Mode
-	switch *modeStr {
-	case "none":
-		mode = dynamo.ModeNone
-	case "global":
-		mode = dynamo.ModeGlobal
-	case "priority-aware":
-		mode = dynamo.ModePriorityAware
-	case "postpone":
-		mode = dynamo.ModePostpone
-	default:
-		fmt.Fprintf(os.Stderr, "advisor: unknown mode %q\n", *modeStr)
-		os.Exit(2)
-	}
-	pol, err := charger.ByName(*policyStr)
+	spec, err := q.Spec()
 	check(err)
-
-	adv, err := scenario.Advise(scenario.AdvisorSpec{
-		NumP1: *p1, NumP2: *p2, NumP3: *p3,
-		AvgDOD:      units.Fraction(*dod),
-		Mode:        mode,
-		LocalPolicy: pol,
-		Seed:        *seed,
-		Resolution:  units.Power(*resKW) * units.Kilowatt,
-	})
+	adv, err := scenario.Advise(spec)
 	check(err)
 	tbl := scenario.AdviceTable(adv)
 	if *csv {

@@ -9,6 +9,11 @@
 //	coordd -addr :0 -p1 4 -p2 6 -p3 4 -pace 60         # small paced fleet
 //	coordd -no-resident                                 # API plane only
 //
+// The resident fleet takes coordsim -run's experiment flags (-p1 -p2 -p3
+// -seed -limit -dod -mode -policy -storm -admission -guard -watchdog
+// -latency -distributed -faults -grid): both bind one svc.RunRequest, the
+// type POST /api/v1/run decodes.
+//
 // Lifecycle: SIGTERM (or Ctrl-C) drains — in-flight requests finish, the
 // resident run writes a final checkpoint, and the process exits 0. On
 // restart with the same -ckpt-dir, the daemon auto-discovers the newest
@@ -50,21 +55,9 @@ func main() {
 	ckptEvery := flag.Duration("checkpoint-interval", 0, "virtual time between resident checkpoint writes (default 5m)")
 	fresh := flag.Bool("fresh", false, "ignore any existing checkpoint and start the resident run from scratch")
 	noResident := flag.Bool("no-resident", false, "serve the API plane without a resident simulation")
-	// Resident fleet shape (mirrors coordsim -run).
-	p1 := flag.Int("p1", 89, "resident fleet: P1 rack count")
-	p2 := flag.Int("p2", 142, "resident fleet: P2 rack count")
-	p3 := flag.Int("p3", 85, "resident fleet: P3 rack count")
-	seed := flag.Int64("seed", 1, "resident fleet: trace seed")
-	limitMW := flag.Float64("limit", 2.5, "resident fleet: MSB power limit in MW")
-	dod := flag.Float64("dod", 0.5, "resident fleet: target average depth of discharge")
-	mode := flag.String("mode", "priority-aware", "resident fleet: none, global, priority-aware, or postpone")
-	policy := flag.String("policy", "variable", "resident fleet: local charger (original or variable)")
-	outage := flag.Duration("outage", 0, "resident fleet: site-wide grid-event duration (replaces the -dod-derived transition)")
-	admission := flag.Bool("admission", false, "resident fleet: arm recharge-storm admission control")
-	guard := flag.Bool("guard", false, "resident fleet: arm the last-line breaker guard")
-	faultsSpec := flag.String("faults", "", "resident fleet: control-plane fault injection (off, default, or k=v list)")
-	gridSpec := flag.String("grid", "", "resident fleet: grid signal plane (off, on, or semicolon key=value elements — see coordsim -grid)")
-	watchdog := flag.Duration("watchdog", 0, "resident fleet: rack fail-safe watchdog TTL (0 disables)")
+	// The resident fleet: the same request and flags as coordsim -run.
+	resident := svc.PaperRun()
+	resident.Flags(flag.CommandLine)
 	pace := flag.Float64("pace", 0, "resident fleet: simulated seconds per wall-clock second (0 = free-running)")
 	// Service plane.
 	workers := flag.Int("workers", 0, "compute worker pool size (default 4)")
@@ -95,20 +88,7 @@ func main() {
 		WatchdogTTL:    *stallTTL,
 	}
 	if !*noResident {
-		opt.Resident = &svc.RunRequest{
-			P1: *p1, P2: *p2, P3: *p3,
-			Seed:      *seed,
-			LimitMW:   *limitMW,
-			AvgDOD:    *dod,
-			Mode:      *mode,
-			Policy:    *policy,
-			OutageS:   outage.Seconds(),
-			Admission: *admission,
-			Guard:     *guard,
-			WatchdogS: watchdog.Seconds(),
-			Faults:    *faultsSpec,
-			Grid:      *gridSpec,
-		}
+		opt.Resident = &resident
 	}
 	if *ckptDir != "" {
 		if err := os.MkdirAll(*ckptDir, 0o755); err != nil {

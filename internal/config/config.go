@@ -1,8 +1,11 @@
-// Package config loads experiment specifications from JSON files, so that
-// fleets of experiments can be versioned and replayed without recompiling.
-// The on-disk schema uses plain strings and numbers; Load translates them
-// into the scenario package's typed specs (charger policies, coordination
-// modes, typed power units) with validation.
+// Package config reads experiment files: JSON envelopes that version a set
+// of experiments so they can be replayed without recompiling. A file holds
+// any combination of three sections. "coordinated" is an svc.RunRequest and
+// "advisor" an svc.AdvisorRequest, with exactly the keys the HTTP API takes
+// (see internal/svc); "endurance" is the Endurance section below. Read
+// rejects unknown keys and validates every section it finds, so a typo or
+// an out-of-range value fails before anything runs. A coordinated section's
+// "trace" is a CSV path (tracegen format), which coordsim -config resolves.
 //
 // Example file:
 //
@@ -10,9 +13,10 @@
 //	  "coordinated": {
 //	    "p1": 89, "p2": 142, "p3": 85,
 //	    "mode": "priority-aware",
-//	    "charger": "variable",
+//	    "policy": "variable",
 //	    "limit_mw": 2.3,
 //	    "avg_dod": 0.5,
+//	    "latency_s": 20,
 //	    "seed": 1
 //	  }
 //	}
@@ -23,89 +27,37 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"time"
 
 	"coordcharge/internal/charger"
 	"coordcharge/internal/dynamo"
 	"coordcharge/internal/scenario"
-	"coordcharge/internal/trace"
+	"coordcharge/internal/svc"
 	"coordcharge/internal/units"
 )
 
-// Coordinated is the JSON shape of a scenario.CoordSpec.
-type Coordinated struct {
-	P1      int     `json:"p1"`
-	P2      int     `json:"p2"`
-	P3      int     `json:"p3"`
-	Mode    string  `json:"mode"`
-	Charger string  `json:"charger,omitempty"`
-	LimitMW float64 `json:"limit_mw"`
-	AvgDOD  float64 `json:"avg_dod"`
-	Seed    int64   `json:"seed,omitempty"`
-	// LatencySec models the override command-settling latency.
-	LatencySec float64 `json:"latency_sec,omitempty"`
-	// Distributed selects the message-passing control plane.
-	Distributed bool `json:"distributed,omitempty"`
-	// TraceCSV optionally names a trace file (tracegen format) to replay in
-	// place of the synthetic generator. Relative to the working directory.
-	TraceCSV string `json:"trace_csv,omitempty"`
+// File is a complete experiment specification: any combination of sections.
+type File struct {
+	Coordinated *svc.RunRequest     `json:"coordinated,omitempty"`
+	Endurance   *Endurance          `json:"endurance,omitempty"`
+	Advisor     *svc.AdvisorRequest `json:"advisor,omitempty"`
 }
 
-// Endurance is the JSON shape of a scenario.EnduranceSpec.
+// Endurance is the JSON shape of a scenario.EnduranceSpec; coordsim
+// -endurance lowers its flags through it too. Zero fields take the
+// scenario defaults.
 type Endurance struct {
 	Years   float64 `json:"years"`
 	P1      int     `json:"p1,omitempty"`
 	P2      int     `json:"p2,omitempty"`
 	P3      int     `json:"p3,omitempty"`
 	Mode    string  `json:"mode"`
-	Charger string  `json:"charger,omitempty"`
+	Policy  string  `json:"policy,omitempty"`
 	LimitMW float64 `json:"limit_mw,omitempty"`
 	Seed    int64   `json:"seed,omitempty"`
 }
 
-// Advisor is the JSON shape of a scenario.AdvisorSpec.
-type Advisor struct {
-	P1      int     `json:"p1"`
-	P2      int     `json:"p2"`
-	P3      int     `json:"p3"`
-	Mode    string  `json:"mode"`
-	Charger string  `json:"charger,omitempty"`
-	AvgDOD  float64 `json:"avg_dod,omitempty"`
-	Seed    int64   `json:"seed,omitempty"`
-}
-
-// File is a complete experiment specification: any combination of sections.
-type File struct {
-	Coordinated *Coordinated `json:"coordinated,omitempty"`
-	Endurance   *Endurance   `json:"endurance,omitempty"`
-	Advisor     *Advisor     `json:"advisor,omitempty"`
-}
-
-// ParseMode translates a mode name used across CLIs and config files.
-func ParseMode(s string) (dynamo.Mode, error) {
-	switch s {
-	case "", "priority-aware":
-		return dynamo.ModePriorityAware, nil
-	case "none":
-		return dynamo.ModeNone, nil
-	case "global":
-		return dynamo.ModeGlobal, nil
-	case "postpone":
-		return dynamo.ModePostpone, nil
-	default:
-		return 0, fmt.Errorf("config: unknown mode %q (want none, global, priority-aware, or postpone)", s)
-	}
-}
-
-func parseCharger(s string) (charger.Policy, error) {
-	if s == "" {
-		return charger.Variable{}, nil
-	}
-	return charger.ByName(s)
-}
-
 // Read parses a File from JSON, rejecting unknown fields so that typos in
-// experiment files fail loudly.
+// experiment files fail loudly, and validates every section.
 func Read(r io.Reader) (*File, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
@@ -115,6 +67,21 @@ func Read(r io.Reader) (*File, error) {
 	}
 	if f.Coordinated == nil && f.Endurance == nil && f.Advisor == nil {
 		return nil, fmt.Errorf("config: file has no experiment sections")
+	}
+	if f.Coordinated != nil {
+		if err := f.Coordinated.Validate(); err != nil {
+			return nil, fmt.Errorf("config: coordinated: %w", err)
+		}
+	}
+	if f.Endurance != nil {
+		if _, err := f.Endurance.EnduranceSpec(); err != nil {
+			return nil, fmt.Errorf("config: endurance: %w", err)
+		}
+	}
+	if f.Advisor != nil {
+		if err := f.Advisor.Validate(); err != nil {
+			return nil, fmt.Errorf("config: advisor: %w", err)
+		}
 	}
 	return &f, nil
 }
@@ -129,52 +96,17 @@ func Load(path string) (*File, error) {
 	return Read(fh)
 }
 
-// CoordSpec converts the JSON section into a runnable spec.
-func (c *Coordinated) CoordSpec() (scenario.CoordSpec, error) {
-	mode, err := ParseMode(c.Mode)
-	if err != nil {
-		return scenario.CoordSpec{}, err
-	}
-	pol, err := parseCharger(c.Charger)
-	if err != nil {
-		return scenario.CoordSpec{}, err
-	}
-	spec := scenario.CoordSpec{
-		NumP1: c.P1, NumP2: c.P2, NumP3: c.P3,
-		Seed:        c.Seed,
-		MSBLimit:    units.Power(c.LimitMW) * units.Megawatt,
-		Mode:        mode,
-		LocalPolicy: pol,
-		AvgDOD:      units.Fraction(c.AvgDOD),
-	}
-	if c.LatencySec > 0 {
-		spec.CommandLatency = time.Duration(c.LatencySec * float64(time.Second))
-	}
-	spec.Distributed = c.Distributed
-	if c.TraceCSV != "" {
-		f, err := os.Open(c.TraceCSV)
-		if err != nil {
-			return scenario.CoordSpec{}, fmt.Errorf("config: trace_csv: %w", err)
-		}
-		defer f.Close()
-		m, err := trace.ReadCSV(f)
-		if err != nil {
-			return scenario.CoordSpec{}, fmt.Errorf("config: trace_csv: %w", err)
-		}
-		spec.Trace = m
-	}
-	return spec, nil
-}
-
-// EnduranceSpec converts the JSON section into a runnable spec.
+// EnduranceSpec converts the section into a runnable spec.
 func (e *Endurance) EnduranceSpec() (scenario.EnduranceSpec, error) {
-	mode, err := ParseMode(e.Mode)
+	mode, err := dynamo.ParseMode(e.Mode)
 	if err != nil {
 		return scenario.EnduranceSpec{}, err
 	}
-	pol, err := parseCharger(e.Charger)
-	if err != nil {
-		return scenario.EnduranceSpec{}, err
+	var pol charger.Policy // nil takes the scenario default, variable
+	if e.Policy != "" {
+		if pol, err = charger.ByName(e.Policy); err != nil {
+			return scenario.EnduranceSpec{}, err
+		}
 	}
 	return scenario.EnduranceSpec{
 		Years: e.Years,
@@ -183,24 +115,5 @@ func (e *Endurance) EnduranceSpec() (scenario.EnduranceSpec, error) {
 		MSBLimit:    units.Power(e.LimitMW) * units.Megawatt,
 		Mode:        mode,
 		LocalPolicy: pol,
-	}, nil
-}
-
-// AdvisorSpec converts the JSON section into a runnable spec.
-func (a *Advisor) AdvisorSpec() (scenario.AdvisorSpec, error) {
-	mode, err := ParseMode(a.Mode)
-	if err != nil {
-		return scenario.AdvisorSpec{}, err
-	}
-	pol, err := parseCharger(a.Charger)
-	if err != nil {
-		return scenario.AdvisorSpec{}, err
-	}
-	return scenario.AdvisorSpec{
-		NumP1: a.P1, NumP2: a.P2, NumP3: a.P3,
-		AvgDOD:      units.Fraction(a.AvgDOD),
-		Mode:        mode,
-		LocalPolicy: pol,
-		Seed:        a.Seed,
 	}, nil
 }

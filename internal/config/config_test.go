@@ -3,13 +3,11 @@ package config
 import (
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"coordcharge/internal/dynamo"
-	"coordcharge/internal/trace"
 	"coordcharge/internal/units"
 )
 
@@ -17,11 +15,11 @@ const sample = `{
   "coordinated": {
     "p1": 89, "p2": 142, "p3": 85,
     "mode": "priority-aware",
-    "charger": "variable",
+    "policy": "variable",
     "limit_mw": 2.3,
     "avg_dod": 0.5,
     "seed": 7,
-    "latency_sec": 20
+    "latency_s": 20
   },
   "endurance": {
     "years": 30,
@@ -32,7 +30,7 @@ const sample = `{
   "advisor": {
     "p1": 10, "p2": 10, "p3": 10,
     "mode": "none",
-    "charger": "original",
+    "policy": "original",
     "avg_dod": 0.7
   }
 }`
@@ -42,7 +40,7 @@ func TestReadFullFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs, err := f.Coordinated.CoordSpec()
+	cs, err := f.Coordinated.Spec()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +71,7 @@ func TestReadFullFile(t *testing.T) {
 		t.Errorf("endurance spec: %+v", es)
 	}
 
-	as, err := f.Advisor.AdvisorSpec()
+	as, err := f.Advisor.Spec()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,6 +84,18 @@ func TestReadRejectsUnknownFields(t *testing.T) {
 	if _, err := Read(strings.NewReader(`{"coordinated": {"p1": 1, "typo_field": 2}}`)); err == nil {
 		t.Error("unknown field accepted")
 	}
+	// The keys renamed to match the API are gone, not aliased.
+	for _, old := range []string{
+		`{"coordinated": {"p1": 1, "avg_dod": 0.5, "charger": "variable"}}`,
+		`{"coordinated": {"p1": 1, "avg_dod": 0.5, "latency_sec": 20}}`,
+		`{"coordinated": {"p1": 1, "avg_dod": 0.5, "trace_csv": "t.csv"}}`,
+		`{"endurance": {"years": 1, "charger": "variable"}}`,
+		`{"advisor": {"p1": 1, "charger": "variable"}}`,
+	} {
+		if _, err := Read(strings.NewReader(old)); err == nil {
+			t.Errorf("pre-rename key accepted: %s", old)
+		}
+	}
 }
 
 func TestReadRejectsEmptyFile(t *testing.T) {
@@ -97,84 +107,18 @@ func TestReadRejectsEmptyFile(t *testing.T) {
 	}
 }
 
-func TestParseModeAll(t *testing.T) {
-	cases := map[string]dynamo.Mode{
-		"":               dynamo.ModePriorityAware,
-		"priority-aware": dynamo.ModePriorityAware,
-		"none":           dynamo.ModeNone,
-		"global":         dynamo.ModeGlobal,
-		"postpone":       dynamo.ModePostpone,
-	}
-	for in, want := range cases {
-		got, err := ParseMode(in)
-		if err != nil || got != want {
-			t.Errorf("ParseMode(%q) = %v, %v", in, got, err)
-		}
-	}
-	if _, err := ParseMode("bogus"); err == nil {
-		t.Error("bogus mode accepted")
-	}
-}
-
 func TestBadModeOrChargerInSections(t *testing.T) {
-	f, err := Read(strings.NewReader(`{"coordinated": {"p1": 1, "mode": "bogus"}}`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Coordinated.CoordSpec(); err == nil {
-		t.Error("bogus coordinated mode accepted")
-	}
-	f, _ = Read(strings.NewReader(`{"advisor": {"p1": 1, "charger": "bogus"}}`))
-	if _, err := f.Advisor.AdvisorSpec(); err == nil {
-		t.Error("bogus advisor charger accepted")
-	}
-	f, _ = Read(strings.NewReader(`{"endurance": {"years": 1, "mode": "bogus"}}`))
-	if _, err := f.Endurance.EnduranceSpec(); err == nil {
-		t.Error("bogus endurance mode accepted")
-	}
-}
-
-func TestCoordinatedTraceAndDistributed(t *testing.T) {
-	// Write a valid trace file and reference it.
-	dir := t.TempDir()
-	path := filepath.Join(dir, "t.csv")
-	gen, err := trace.NewGenerator(trace.Spec{NumRacks: 3, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := trace.Materialize(gen, 0, time.Minute, 3*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := m.WriteCSV(f); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	cfgJSON := `{"coordinated": {"p1": 1, "p2": 1, "p3": 1, "mode": "priority-aware",
-		"limit_mw": 0.05, "avg_dod": 0.5, "distributed": true, "trace_csv": ` + strconv.Quote(path) + `}}`
-	file, err := Read(strings.NewReader(cfgJSON))
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := file.Coordinated.CoordSpec()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !spec.Distributed {
-		t.Error("distributed flag lost")
-	}
-	if spec.Trace == nil || spec.Trace.NumRacks() != 3 {
-		t.Error("trace not loaded")
-	}
-	// A missing trace file errors cleanly.
-	file, _ = Read(strings.NewReader(`{"coordinated": {"p1": 1, "trace_csv": "/no/such/file.csv"}}`))
-	if _, err := file.Coordinated.CoordSpec(); err == nil {
-		t.Error("missing trace file accepted")
+	for _, bad := range []string{
+		`{"coordinated": {"p1": 1, "avg_dod": 0.5, "mode": "bogus"}}`,
+		`{"coordinated": {"p1": 1, "avg_dod": 0.5, "policy": "bogus"}}`,
+		`{"coordinated": {"p1": 1, "avg_dod": 0.5, "sample_s": 1e-6}}`,
+		`{"advisor": {"p1": 1, "policy": "bogus"}}`,
+		`{"endurance": {"years": 1, "mode": "bogus"}}`,
+		`{"endurance": {"years": 1, "policy": "bogus"}}`,
+	} {
+		if _, err := Read(strings.NewReader(bad)); err == nil {
+			t.Errorf("Read accepted an invalid section: %s", bad)
+		}
 	}
 }
 

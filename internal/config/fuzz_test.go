@@ -6,13 +6,14 @@ import (
 )
 
 // FuzzRead hardens the experiment-file parser: arbitrary JSON must either
-// error or produce sections that convert into specs without panicking.
+// error or produce sections that lower into specs, since Read validates
+// every section it accepts.
 func FuzzRead(f *testing.F) {
 	f.Add(sample)
 	f.Add(`{}`)
-	f.Add(`{"coordinated": {"p1": 1}}`)
+	f.Add(`{"coordinated": {"p1": 1, "avg_dod": 0.5}}`)
 	f.Add(`{"endurance": {"years": 1e308, "mode": "global"}}`)
-	f.Add(`{"advisor": {"p1": -5, "charger": "original"}}`)
+	f.Add(`{"advisor": {"p1": -5, "policy": "original"}}`)
 	f.Add(`not json at all`)
 	f.Add(`{"coordinated": null, "advisor": null}`)
 
@@ -21,15 +22,20 @@ func FuzzRead(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// Conversions must not panic; spec validation happens at run time.
 		if file.Coordinated != nil {
-			_, _ = file.Coordinated.CoordSpec()
+			if _, err := file.Coordinated.Spec(); err != nil {
+				t.Fatalf("validated coordinated section failed to lower: %v", err)
+			}
 		}
 		if file.Endurance != nil {
-			_, _ = file.Endurance.EnduranceSpec()
+			if _, err := file.Endurance.EnduranceSpec(); err != nil {
+				t.Fatalf("validated endurance section failed to lower: %v", err)
+			}
 		}
 		if file.Advisor != nil {
-			_, _ = file.Advisor.AdvisorSpec()
+			if _, err := file.Advisor.Spec(); err != nil {
+				t.Fatalf("validated advisor section failed to lower: %v", err)
+			}
 		}
 	})
 }

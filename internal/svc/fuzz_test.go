@@ -3,16 +3,30 @@ package svc
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"math"
 	"testing"
+	"time"
 
 	"coordcharge/internal/rack"
+	"coordcharge/internal/scenario"
 )
+
+// coorddMixBodies copies the coordd-mix benchmark's request catalogue at
+// seed 1, so the fuzz corpora start from the service's measured workload.
+var coorddMixBodies = []string{
+	`{"p1":10,"p2":10,"p3":10,"seed":1,"limit_mw":0.205,"outage_s":90,"admission":true,"guard":true,"max_charge_s":21600}`,
+	`{"p1":10,"p2":10,"p3":10,"seed":1,"limit_mw":0.34,"outage_s":90,"admission":true,"guard":true,"max_charge_s":21600,"grid":"cap=230kW@0"}`,
+	`{"p1":10,"p2":10,"p3":10,"seed":1,"limit_mw":0.225,"avg_dod":0.3,"faults":"default","watchdog_s":30}`,
+	`{"p1":10,"p2":10,"p3":10,"seed":1,"avg_dod":0.5,"resolution_kw":20}`,
+	`{"p1":10,"p2":10,"p3":10,"seed":1,"limit_mw":0.225,"avg_dod":0.5,"trace":"bench"}`,
+}
 
 // FuzzAdvisorRequest hammers the strict decoder with arbitrary bytes. The
 // invariant is the validation contract itself: whatever survives
-// DecodeAdvisorRequest must satisfy every bound Validate promises, and must
-// lower onto an AdvisorSpec without error — the compute path may assume a
+// DecodeAdvisorRequest must satisfy every bound Validate promises, lower onto
+// an AdvisorSpec, and set up — Advise under a HardStop that fires at once
+// must fail with ErrAborted and nothing else. The compute path may assume a
 // decoded request is physically sane.
 func FuzzAdvisorRequest(f *testing.F) {
 	f.Add([]byte(`{"p1":1,"p2":2,"p3":3,"avg_dod":0.5}`))
@@ -21,6 +35,12 @@ func FuzzAdvisorRequest(f *testing.F) {
 	f.Add([]byte(`{"p1":1024,"priority":3,"seed":-9223372036854775808}`))
 	f.Add([]byte(`[]`))
 	f.Add([]byte(`{"p1":1}{"p1":2}`))
+	for _, row := range advisorRows {
+		f.Add([]byte(row.body))
+	}
+	for _, body := range coorddMixBodies {
+		f.Add([]byte(body))
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		q, err := DecodeAdvisorRequest(bytes.NewReader(data))
 		if err != nil {
@@ -32,11 +52,59 @@ func FuzzAdvisorRequest(f *testing.F) {
 		if math.IsNaN(q.AvgDOD) || q.AvgDOD < 0 || q.AvgDOD > 1 {
 			t.Fatalf("decoder admitted avg_dod %v", q.AvgDOD)
 		}
-		if math.IsNaN(q.ResolutionKW) || q.ResolutionKW < 0 || q.ResolutionKW > 1000 {
+		// Checked explicitly as well as by set-up: Advise reports its first
+		// probe's error, so a later probe failing on the limit grid can hide
+		// behind the reference probe's ErrAborted.
+		if math.IsNaN(q.ResolutionKW) || q.ResolutionKW < 0 || q.ResolutionKW > 1000 ||
+			(q.ResolutionKW != 0 && q.ResolutionKW < 0.001) {
 			t.Fatalf("decoder admitted resolution_kw %v", q.ResolutionKW)
 		}
-		if _, err := q.Spec(); err != nil {
+		if q.P1+q.P2+q.P3 == 0 {
+			// The service fills an empty population from its resident (and
+			// answers 400 without one); stand in a small resident.
+			q.P1, q.P2, q.P3 = 1, 1, 1
+		}
+		spec, err := q.Spec()
+		if err != nil {
 			t.Fatalf("validated request failed to lower: %v", err)
+		}
+		spec.HardStop = func() bool { return true }
+		if _, err := scenario.Advise(spec); !errors.Is(err, scenario.ErrAborted) {
+			t.Fatalf("validated request %s failed to set up: %v", data, err)
+		}
+	})
+}
+
+// FuzzRunRequest drives the run decoder, whose body carries the faults and
+// grid mini-languages, all the way to set-up: whatever DecodeRunRequest
+// admits must lower onto a CoordSpec and build its run, so RunCoordinated
+// under a HardStop that fires at once fails with ErrAborted and nothing
+// else. A named trace is left unresolved (the handler's job; the synthetic
+// generator stands in).
+func FuzzRunRequest(f *testing.F) {
+	for _, row := range runRows {
+		f.Add([]byte(row.body))
+	}
+	for _, body := range coorddMixBodies {
+		f.Add([]byte(body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		q, err := DecodeRunRequest(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		spec, err := q.Spec()
+		if err != nil {
+			t.Fatalf("validated request failed to lower: %v", err)
+		}
+		if spec.Distributed {
+			// The message plane's pre-roll costs about a second per 30-rack
+			// set-up, more for larger fleets: too slow to fuzz through.
+			return
+		}
+		spec.HardStop = func(time.Duration) bool { return true }
+		if _, err := scenario.RunCoordinated(spec); !errors.Is(err, scenario.ErrAborted) {
+			t.Fatalf("validated request %s failed to set up: %v", data, err)
 		}
 	})
 }

@@ -190,6 +190,9 @@ func (s *Service) handleAdvise(w http.ResponseWriter, r *http.Request) {
 	}
 	s.baselinePopulation(q)
 	spec, err := q.Spec()
+	if err == nil && q.P1+q.P2+q.P3 == 0 {
+		err = errors.New("svc: no racks in advisor request and no resident to default from")
+	}
 	if err != nil {
 		apiError(w, http.StatusBadRequest, err)
 		return

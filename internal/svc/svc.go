@@ -80,8 +80,9 @@ const ResidentCheckpointFile = "resident.ckpt"
 // Options configures a Service.
 type Options struct {
 	// Resident, when non-nil, is the fleet simulation the daemon hosts. It
-	// is validated like any API run request and also provides the default
-	// population for advisor queries that omit rack counts.
+	// is held to Validate and the service caps like any API run request, and
+	// also provides the default population for advisor queries that omit
+	// rack counts.
 	Resident *RunRequest
 	// Pace slaves the resident run's virtual time to the wall clock at this
 	// ratio (e.g. 60 = one virtual minute per wall second); 0 free-runs.
@@ -167,7 +168,7 @@ type Service struct {
 func New(opt Options) (*Service, error) {
 	opt = opt.withDefaults()
 	if opt.Resident != nil {
-		if err := opt.Resident.Validate(); err != nil {
+		if err := opt.Resident.validateCapped(); err != nil {
 			return nil, fmt.Errorf("svc: resident config: %w", err)
 		}
 		if opt.Resident.Trace != "" {
