@@ -5,7 +5,7 @@ BENCH_OUT ?= BENCH_latest.json
 # The committed baseline the regression gate compares against; refresh with
 # `make bench-json BENCH_OUT=BENCH_PR<N>.json` when a PR changes performance
 # on purpose.
-BENCH_BASELINE ?= BENCH_PR10.json
+BENCH_BASELINE ?= BENCH_PR16.json
 BENCH_TOLERANCE ?= 25
 # Benchmarks cheaper than this (ns/op in the baseline) are reported but not
 # gated: at one measured iteration their timing is scheduler noise.
@@ -93,6 +93,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=30s ./internal/units/
 	$(GO) test -fuzz=FuzzCheckpointDecode -fuzztime=30s ./internal/ckpt/
 	$(GO) test -fuzz=FuzzAdvisorRequest -fuzztime=30s ./internal/svc/
+	$(GO) test -fuzz=FuzzRunRequest -fuzztime=30s ./internal/svc/
 	$(GO) test -fuzz=FuzzTraceFrame -fuzztime=30s ./internal/svc/
 	$(GO) test -fuzz=FuzzGridSeries -fuzztime=30s ./internal/grid/
 
