@@ -363,9 +363,9 @@ type (
 	EnduranceResult = scenario.EnduranceResult
 )
 
-// RunEndurance replays Table I failure events at their hierarchy levels
-// against a live MSB and measures each priority's realized availability of
-// redundancy.
+// RunEndurance replays Table I failure events at their hierarchy levels,
+// each input loss a coordinated run on a fresh MSB fleet, and measures each
+// priority's realized availability of redundancy.
 func RunEndurance(spec EnduranceSpec) (*EnduranceResult, error) {
 	return scenario.RunEndurance(spec)
 }

@@ -333,6 +333,24 @@ type Metrics struct {
 	Crashes, Restarts int
 }
 
+// Merge folds o into m: counters and capped energy sum, and the capping
+// maximum (with its fraction) takes the larger of the two.
+func (m *Metrics) Merge(o Metrics) {
+	if o.MaxCapping > m.MaxCapping {
+		m.MaxCapping = o.MaxCapping
+		m.MaxCappingFraction = o.MaxCappingFraction
+	}
+	m.CappedEnergy += o.CappedEnergy
+	m.OverridesIssued += o.OverridesIssued
+	m.ThrottleEvents += o.ThrottleEvents
+	m.PlansComputed += o.PlansComputed
+	m.Retries += o.Retries
+	m.AbandonedOverrides += o.AbandonedOverrides
+	m.StaleTelemetry += o.StaleTelemetry
+	m.Crashes += o.Crashes
+	m.Restarts += o.Restarts
+}
+
 // ControllerOptions carries the degraded-mode knobs of a controller.
 type ControllerOptions struct {
 	// Engine schedules retry timeouts and (through the agents) command

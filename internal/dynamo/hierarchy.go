@@ -198,20 +198,7 @@ func (h *Hierarchy) TotalGuardMetrics() storm.GuardMetrics {
 func (h *Hierarchy) TotalMetrics() Metrics {
 	var m Metrics
 	for _, c := range h.controllers {
-		cm := c.Metrics()
-		if cm.MaxCapping > m.MaxCapping {
-			m.MaxCapping = cm.MaxCapping
-			m.MaxCappingFraction = cm.MaxCappingFraction
-		}
-		m.CappedEnergy += cm.CappedEnergy
-		m.OverridesIssued += cm.OverridesIssued
-		m.ThrottleEvents += cm.ThrottleEvents
-		m.PlansComputed += cm.PlansComputed
-		m.Retries += cm.Retries
-		m.AbandonedOverrides += cm.AbandonedOverrides
-		m.StaleTelemetry += cm.StaleTelemetry
-		m.Crashes += cm.Crashes
-		m.Restarts += cm.Restarts
+		m.Merge(c.Metrics())
 	}
 	return m
 }

@@ -361,6 +361,9 @@ type coordRun struct {
 	guards      []*storm.Guard // async plane only; the Hierarchy owns its own
 	gridPol     *grid.Policy   // nil unless Spec.Grid
 
+	// scope is the breaker the transient de-energizes at loseAt and
+	// re-energizes at restoreAt.
+	scope                             *power.Node
 	transLen                          time.Duration
 	start, loseAt, restoreAt, horizon time.Duration
 	deadlines                         map[rack.Priority]time.Duration
@@ -388,7 +391,7 @@ type coordRun struct {
 	replaying bool
 
 	// kern is the event-driven kernel, non-nil only when the spec selects
-	// it and is eligible; run() dispatches to it instead of the dense loop.
+	// it and is eligible; run() asks it whether each tick may be skipped.
 	kern *eventKernel
 }
 
@@ -417,9 +420,35 @@ func traceSource(spec *CoordSpec, n int) (trace.Source, error) {
 	return g, nil
 }
 
-// newCoordRun builds the fleet, power hierarchy, and control plane from the
-// spec (which must have defaults filled) and computes the event schedule.
+// newCoordRun builds the paper's §V-B1 run: an MSB open transition at the
+// first trace peak.
 func newCoordRun(spec CoordSpec) (*coordRun, error) {
+	return newCoordRunAt(spec, placeAtPeak)
+}
+
+// placeAtPeak opens the MSB at the first trace peak, where available power
+// is most constrained (§V-B1).
+func placeAtPeak(cr *coordRun) (*power.Node, time.Duration) {
+	return cr.msb, trace.FirstPeak(cr.gen, 24*time.Hour, time.Minute)
+}
+
+// rackPriority returns the priority of rack i in a fleet of numP1 P1 racks,
+// then numP2 P2 racks, then P3 racks.
+func rackPriority(i, numP1, numP2 int) rack.Priority {
+	switch {
+	case i < numP1:
+		return rack.P1
+	case i < numP1+numP2:
+		return rack.P2
+	default:
+		return rack.P3
+	}
+}
+
+// newCoordRunAt builds the fleet, power hierarchy, and control plane from the
+// spec (which must have defaults filled), asks place which breaker the run's
+// one transient de-energizes and when, and computes the schedule around it.
+func newCoordRunAt(spec CoordSpec, place func(*coordRun) (scope *power.Node, at time.Duration)) (*coordRun, error) {
 	n := spec.NumP1 + spec.NumP2 + spec.NumP3
 	gen, err := traceSource(&spec, n)
 	if err != nil {
@@ -428,18 +457,8 @@ func newCoordRun(spec CoordSpec) (*coordRun, error) {
 	surface := battery.Fig5Surface()
 	racks := make([]*rack.Rack, n)
 	loads := make([]power.Load, n)
-	prio := func(i int) rack.Priority {
-		switch {
-		case i < spec.NumP1:
-			return rack.P1
-		case i < spec.NumP1+spec.NumP2:
-			return rack.P2
-		default:
-			return rack.P3
-		}
-	}
 	for i := range racks {
-		racks[i] = rack.New(fmt.Sprintf("rack%03d", i), prio(i), spec.LocalPolicy, surface)
+		racks[i] = rack.New(fmt.Sprintf("rack%03d", i), rackPriority(i, spec.NumP1, spec.NumP2), spec.LocalPolicy, surface)
 		loads[i] = racks[i]
 	}
 	msb, err := power.Build(power.Spec{Name: "msb", MSBLimit: spec.MSBLimit}, loads)
@@ -579,38 +598,6 @@ func newCoordRun(spec CoordSpec) (*coordRun, error) {
 		}
 	}
 
-	// The grid event hits at the first trace peak, where available power is
-	// most constrained (§V-B1). Its length is the specified outage duration,
-	// or is derived from the target DOD at the aggregate load of that moment.
-	peakT := trace.FirstPeak(gen, 24*time.Hour, time.Minute)
-	transLen := spec.OutageLen
-	if transLen == 0 {
-		avgLoad := float64(trace.Aggregate(gen, peakT)) / float64(n)
-		transLen = time.Duration(float64(spec.AvgDOD) * battery.RackFullEnergy / avgLoad * float64(time.Second))
-	}
-	transLen = transLen.Round(spec.Step)
-	if transLen < spec.Step {
-		transLen = spec.Step
-	}
-
-	res := &CoordResult{
-		Spec:             spec,
-		TransitionLength: transLen,
-		SLAMet:           map[rack.Priority]int{},
-		Racks:            map[rack.Priority]int{},
-		ChargeDurations:  map[rack.Priority][]time.Duration{},
-	}
-	for _, r := range racks {
-		res.Racks[r.Priority()]++
-	}
-
-	start := peakT - spec.PreRoll
-	if engine != nil && start > 0 {
-		// Pre-advance the engine clock to the window start.
-		engine.ScheduleAt(start, "start", func(time.Duration) {})
-		engine.Run(start)
-	}
-
 	cr := &coordRun{
 		spec:        spec,
 		n:           n,
@@ -625,14 +612,42 @@ func newCoordRun(spec CoordSpec) (*coordRun, error) {
 		asyncUpper:  asyncUpper,
 		guards:      guards,
 		gridPol:     gridPol,
-		transLen:    transLen,
-		start:       start,
-		loseAt:      peakT,
-		restoreAt:   peakT + transLen,
-		horizon:     peakT + transLen + spec.MaxChargeDuration,
 		deadlines:   core.DefaultDeadlines(),
-		res:         res,
 	}
+	msb.Walk(func(nd *power.Node) { cr.nodes = append(cr.nodes, nd) })
+	// The transient lasts the specified outage duration, or as long as the
+	// target DOD takes at the aggregate load of the moment it hits.
+	scope, at := place(cr)
+	transLen := spec.OutageLen
+	if transLen == 0 {
+		avgLoad := float64(trace.Aggregate(gen, at)) / float64(n)
+		transLen = time.Duration(float64(spec.AvgDOD) * battery.RackFullEnergy / avgLoad * float64(time.Second))
+	}
+	transLen = transLen.Round(spec.Step)
+	if transLen < spec.Step {
+		transLen = spec.Step
+	}
+	start := at - spec.PreRoll
+	if engine != nil && start > 0 {
+		// Pre-advance the engine clock to the window start.
+		engine.ScheduleAt(start, "start", func(time.Duration) {})
+		engine.Run(start)
+	}
+	cr.scope, cr.transLen = scope, transLen
+	cr.start, cr.loseAt, cr.restoreAt = start, at, at+transLen
+	cr.horizon = cr.restoreAt + spec.MaxChargeDuration
+
+	res := &CoordResult{
+		Spec:             spec,
+		TransitionLength: transLen,
+		SLAMet:           map[rack.Priority]int{},
+		Racks:            map[rack.Priority]int{},
+		ChargeDurations:  map[rack.Priority][]time.Duration{},
+	}
+	for _, r := range racks {
+		res.Racks[r.Priority()]++
+	}
+	cr.res = res
 	if spec.Obs != nil {
 		cr.gauges = newRunGauges(spec.Obs)
 	}
@@ -642,7 +657,6 @@ func newCoordRun(spec CoordSpec) (*coordRun, error) {
 	// (and allocating a closure plus a seen-map) every tick.
 	res.Samples = make([]Sample, 0, trace.NumFrames(start, cr.horizon, spec.SampleEvery)+1)
 	res.DODs = make([]float64, 0, n)
-	msb.Walk(func(nd *power.Node) { cr.nodes = append(cr.nodes, nd) })
 	cr.trippedSeen = make([]bool, len(cr.nodes))
 	// Outstanding-charge tracking for the end-of-run check: a per-rack bit
 	// plus a running count, updated on observed state transitions instead of
@@ -691,16 +705,16 @@ func (cr *coordRun) tick(now time.Duration) (done bool) {
 	// the restore keeps the full outage length on the same grid.
 	if !cr.outageFired && now >= cr.loseAt {
 		cr.outageFired = true
-		// An MSB-level open transition: the breaker leaves the critical
+		// An open transition at the scope: the breaker leaves the critical
 		// power path and every rack beneath falls back to batteries.
-		cr.msb.Deenergize(now)
+		cr.scope.Deenergize(now)
 		if spec.Obs != nil {
 			spec.Obs.Event(now, "scenario", "outage")
 		}
 	}
 	if cr.outageFired && !cr.restoreFired && now >= cr.restoreAt {
 		cr.restoreFired = true
-		cr.msb.Reenergize(now)
+		cr.scope.Reenergize(now)
 		var sum float64
 		res.DODs = res.DODs[:0]
 		for _, r := range cr.racks {
@@ -813,12 +827,12 @@ func (cr *coordRun) tick(now time.Duration) (done bool) {
 
 // run drives the tick loop from the cursor to completion, servicing the
 // Interrupt/HardStop hooks and the checkpoint cadence between ticks, then
-// computes the result tail.
+// computes the result tail. It is the one loop of both kernels: the event
+// kernel decides per tick whether the tick may be skipped, and a nil kernel
+// (the dense reference) executes every tick.
 func (cr *coordRun) run() (*CoordResult, error) {
-	if cr.kern != nil {
-		return cr.kern.run()
-	}
-	spec := &cr.spec
+	spec, k := &cr.spec, cr.kern
+	last := cr.cursor - spec.Step
 	for now := cr.cursor; now <= cr.horizon; now += spec.Step {
 		if spec.HardStop != nil && spec.HardStop(now) {
 			return nil, ErrAborted
@@ -827,24 +841,35 @@ func (cr *coordRun) run() (*CoordResult, error) {
 			if spec.Checkpoint != "" {
 				// The tick at now has not run yet; the resume re-enters the
 				// loop exactly here.
+				k.current(now - spec.Step)
 				if err := cr.writeCheckpoint(now); err != nil {
 					return nil, err
 				}
 			}
 			cr.res.Interrupted = true
+			k.report()
 			return cr.res, nil
 		}
-		done := cr.tick(now)
-		if done {
-			break
+		last = now
+		if !k.skip(now) {
+			done := cr.tick(now)
+			k.executed(now)
+			if done {
+				break
+			}
 		}
 		if spec.Checkpoint != "" && now >= cr.nextCkpt {
+			k.current(now)
 			if err := cr.writeCheckpoint(now + spec.Step); err != nil {
 				return nil, err
 			}
 			cr.nextCkpt = now + spec.CheckpointEvery
 		}
 	}
+	// finish reads live pack state (DODs, charge durations), so bring the
+	// fleet current through the last processed tick first.
+	k.current(last)
+	k.report()
 	cr.finish()
 	return cr.res, nil
 }

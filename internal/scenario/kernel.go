@@ -3,9 +3,11 @@ package scenario
 // The event-driven coordinated kernel: a fused tick loop that visits every
 // grid tick but does O(1) work on ticks where nothing can change, advancing
 // charging batteries analytically (bit-exactly, via battery.AdvanceTicks)
-// only when state must be observed. The dense loop in coordRun.run is the
-// reference semantics; this kernel is an optimisation that must reproduce it
-// bit for bit — flight digests, samples, and result fields all byte-identical.
+// only when state must be observed. coordRun.run is the one run loop: with a
+// nil kernel it executes every tick (the dense reference semantics), and with
+// this kernel it asks skip whether each tick may be skipped. The kernel must
+// reproduce the dense run bit for bit — flight digests, samples, and result
+// fields all byte-identical.
 //
 // A tick executes densely (the verbatim coordRun.tick) when any of:
 //
@@ -107,7 +109,7 @@ type eventKernel struct {
 	gen *trace.Generator
 
 	// wakes is the kernel's private discrete-event queue: state-change
-	// deadlines (outage, restore, latch, done, checkpoint cadence) live here
+	// deadlines (outage, restore, latch, done) live here
 	// so the loop's only per-skipped-tick event work is one NextAt peek.
 	// It is distinct from coordRun.engine, which stays nil for eligible
 	// specs (the checkpoint strategy must remain "direct").
@@ -138,7 +140,6 @@ type eventKernel struct {
 
 	quiet       bool //coordvet:transient conservative: RestoreState clears it, forcing the first resumed tick dense; control plane proven inert since the last executed tick
 	force       bool //coordvet:transient per-tick latch, never live across a write: a wake fired, this tick must execute densely
-	ckptDue     bool //coordvet:transient per-tick latch, never live across a write: the checkpoint-cadence wake fired
 	prevSkipped bool //coordvet:transient conservative: RestoreState sets it, re-syncing controller clocks on the first resumed tick
 
 	// postponedN mirrors the controllers' postponed-charge population for
@@ -191,9 +192,6 @@ func newEventKernel(cr *coordRun, gen *trace.Generator) *eventKernel {
 	k.wakes.ScheduleAt(cr.start, "start", k.onForce)
 	k.wakes.ScheduleAt(k.ceilTick(cr.loseAt), "outage", k.onForce)
 	k.wakes.ScheduleAt(k.ceilTick(cr.restoreAt), "restore", k.onForce)
-	if cr.spec.Checkpoint != "" {
-		k.scheduleCkptWake()
-	}
 	k.refreshRechargeBounds()
 	k.refreshAgg(cr.start)
 	return k
@@ -260,99 +258,58 @@ func (k *eventKernel) firstTickAfter(t time.Duration) time.Duration {
 	return at
 }
 
-func (k *eventKernel) scheduleCkptWake() {
-	k.wakes.ScheduleAt(k.ceilTick(k.cr.nextCkpt), "checkpoint",
-		func(time.Duration) { k.ckptDue = true })
+// skip reports whether the tick at now may be skipped, and does a skipped
+// tick's O(1) work. A nil kernel (the dense path) never skips. When the tick
+// must execute, skip brings the fleet, the controller clocks and the demand
+// frame current, so coordRun.tick reads exactly what the dense loop would.
+func (k *eventKernel) skip(now time.Duration) bool {
+	if k == nil {
+		return false
+	}
+	cr := k.cr
+	step := cr.spec.Step
+	k.force = false
+	if at, ok := k.wakes.NextAt(); ok && at <= now {
+		k.wakes.Run(now)
+	}
+	// Re-materialize before the bounds age past their validity window.
+	if cr.numOutstanding > 0 && now-k.matAt >= k.maxWindow {
+		k.materialize(now - step)
+	}
+	if k.force || !k.quiet || (cr.outageFired && !cr.restoreFired) || k.boundsTrip(now) {
+		k.current(now - step)
+		k.frame(now) // single-frame block; cr.tick reads it verbatim
+		return false
+	}
+	k.ticksSkipped++
+	k.prevSkipped = true
+	k.skipped(now)
+	return true
 }
 
-// run is the kernel's replacement for coordRun.run: the same cursor-to-
-// horizon walk with the same hook order, executing coordRun.tick verbatim on
-// non-skippable ticks and O(1) bookkeeping otherwise.
-func (k *eventKernel) run() (*CoordResult, error) {
-	cr := k.cr
-	spec, res := &cr.spec, cr.res
-	last := cr.cursor - spec.Step
-	for now := cr.cursor; now <= cr.horizon; now += spec.Step {
-		if spec.HardStop != nil && spec.HardStop(now) {
-			return nil, ErrAborted
-		}
-		if spec.Interrupt != nil && spec.Interrupt() {
-			if spec.Checkpoint != "" {
-				// Ticks before now have (logically) executed: materialize
-				// the fleet through now-Step and stamp the controllers'
-				// clocks there, so the exported state matches what the
-				// dense loop would have written at this cursor.
-				k.materialize(now - spec.Step)
-				if k.prevSkipped {
-					k.syncClocks(now - spec.Step)
-				}
-				if err := cr.writeCheckpoint(now); err != nil {
-					return nil, err
-				}
-			}
-			res.Interrupted = true
-			k.finishCounters()
-			return res, nil
-		}
-		k.force = false
-		if at, ok := k.wakes.NextAt(); ok && at <= now {
-			k.wakes.Run(now)
-		}
-		// Re-materialize before the bounds age past their validity window.
-		if cr.numOutstanding > 0 && now-k.matAt >= k.maxWindow {
-			k.materialize(now - spec.Step)
-		}
-		if k.force || !k.quiet || (cr.outageFired && !cr.restoreFired) || k.boundsTrip(now) {
-			k.materialize(now - spec.Step)
-			if k.prevSkipped {
-				// Skipped ticks never ran the controllers; move their
-				// clocks to the previous tick so dt inside Tick is one
-				// Step, exactly as on the dense plane.
-				k.syncClocks(now - spec.Step)
-			}
-			k.frame(now) // single-frame block; cr.tick reads it verbatim
-			done := cr.tick(now)
-			k.prevSkipped = false
-			k.afterExec(now)
-			if done {
-				k.finishCounters()
-				cr.finish()
-				return res, nil
-			}
-		} else {
-			k.ticksSkipped++
-			k.prevSkipped = true
-			k.skip(now)
-		}
-		last = now
-		if k.ckptDue {
-			k.ckptDue = false
-			if spec.Checkpoint != "" {
-				k.materialize(now)
-				if k.prevSkipped {
-					k.syncClocks(now)
-				}
-				if err := cr.writeCheckpoint(now + spec.Step); err != nil {
-					return nil, err
-				}
-				cr.nextCkpt = now + spec.CheckpointEvery
-				k.scheduleCkptWake()
-			}
+// current brings the run up to the tick at `at` as the dense loop would
+// have left it: every charging pack materialized through that tick and,
+// after a skipped span, every controller's clock stamped there (skipped
+// ticks never ran the controllers, so the next Tick's dt is one Step). The
+// run loop calls it before each checkpoint write and at the end of the run.
+// A nil kernel is always current.
+func (k *eventKernel) current(at time.Duration) {
+	if k == nil {
+		return
+	}
+	k.materialize(at)
+	if k.prevSkipped {
+		for _, c := range k.controllers {
+			c.SyncClock(at)
 		}
 	}
-	// The horizon ended the run with charges possibly still in flight:
-	// finish() reads live pack state (DODs, charge durations), so bring the
-	// fleet current through the last processed tick first.
-	k.materialize(last)
-	k.finishCounters()
-	cr.finish()
-	return res, nil
 }
 
-// skip is the O(1) tick body: synthesize the output sample on sample ticks
-// and keep the post-restore peak tracker exact, both against materialized
-// state. Everything else is proven unchanged by quiescence plus the bounds.
-func (k *eventKernel) skip(now time.Duration) {
+// skipped is the O(1) body of a skipped tick: synthesize the output sample
+// on sample ticks and keep the post-restore peak tracker exact, both against
+// materialized state. Everything else is proven unchanged by quiescence plus
+// the bounds.
+func (k *eventKernel) skipped(now time.Duration) {
 	cr := k.cr
 	spec, res := &cr.spec, cr.res
 	if now-cr.lastSample >= spec.SampleEvery {
@@ -506,12 +463,16 @@ func (k *eventKernel) refreshRechargeBounds() {
 	k.rLB = lb - boundSlackW
 }
 
-// afterExec runs after every densely executed tick: refresh the caches the
+// executed runs after every densely executed tick: refresh the caches the
 // skip decision reads, and recheck the drain latch (the tick may have
 // completed the last charge itself).
-func (k *eventKernel) afterExec(now time.Duration) {
+func (k *eventKernel) executed(now time.Duration) {
+	if k == nil {
+		return
+	}
 	cr := k.cr
 	k.ticksExecuted++
+	k.prevSkipped = false
 	k.matAt = now
 	// The dense tick's frame is still cached, so re-anchoring the envelope
 	// here costs one clamped sum — no sinusoids — and keeps drift small.
@@ -609,13 +570,11 @@ func (k *eventKernel) noteDrained() {
 	k.wakes.ScheduleAt(k.doneT, "done", k.onForce)
 }
 
-func (k *eventKernel) syncClocks(now time.Duration) {
-	for _, c := range k.controllers {
-		c.SyncClock(now)
+// report copies the tick accounting into the result and the gauges.
+func (k *eventKernel) report() {
+	if k == nil {
+		return
 	}
-}
-
-func (k *eventKernel) finishCounters() {
 	res := k.cr.res
 	res.KernelTicksExecuted = k.ticksExecuted
 	res.KernelTicksSkipped = k.ticksSkipped
@@ -652,7 +611,6 @@ func (k *eventKernel) RestoreState(ck *coordCheckpoint) error {
 	k.quiet = false // the first resumed tick executes densely
 	k.prevSkipped = true
 	k.force = false
-	k.ckptDue = false
 	k.doneT = -1
 	k.lastCompletion = 0
 	if cr.res.LastChargeDone != 0 {
@@ -663,9 +621,6 @@ func (k *eventKernel) RestoreState(ck *coordCheckpoint) error {
 	}
 	if !cr.restoreFired {
 		k.wakes.ScheduleAt(k.ceilTick(cr.restoreAt), "restore", k.onForce)
-	}
-	if cr.spec.Checkpoint != "" {
-		k.scheduleCkptWake()
 	}
 	if cr.restoreFired && cr.numOutstanding == 0 {
 		k.noteDrained()
@@ -678,12 +633,7 @@ func (k *eventKernel) RestoreState(ck *coordCheckpoint) error {
 	k.ticksExecuted = ck.Kernel.TicksExecuted
 	k.ticksSkipped = ck.Kernel.TicksSkipped
 	k.eventsBase = ck.Kernel.EventsExecuted
-	// Cadence wakes are excluded from the comparison: a resumed run's
-	// checkpoint cadence is re-anchored at the resume cursor (matching the
-	// dense plane's restore), so its wake legitimately differs from the
-	// original's.
-	got := filterCadence(k.wakes.Snapshot())
-	want := filterCadence(ck.Kernel.Queue)
+	got, want := k.wakes.Snapshot(), ck.Kernel.Queue
 	if len(got) != len(want) {
 		return fmt.Errorf("scenario: kernel wake queue rebuilt with %d wakes, checkpoint stored %d (a restore dropped state the schedule derives from)", len(got), len(want))
 	}
@@ -694,14 +644,4 @@ func (k *eventKernel) RestoreState(ck *coordCheckpoint) error {
 		}
 	}
 	return nil
-}
-
-func filterCadence(views []sim.EventView) []sim.EventView {
-	out := views[:0:0]
-	for _, v := range views {
-		if v.Label != "checkpoint" {
-			out = append(out, v)
-		}
-	}
-	return out
 }
