@@ -107,13 +107,14 @@ func validateCombination(v flagValues) error {
 	return nil
 }
 
-// checkpointSeed reads just the seed out of a checkpoint file's verified
-// payload.
+// checkpointSeed reads just the seed out of the checkpoint generation a
+// resume would restore: the latest file, or its rotated previous generation
+// when the latest fails verification.
 func checkpointSeed(path string) (int64, error) {
 	var probe struct {
 		Seed int64 `json:"seed"`
 	}
-	if err := ckpt.ReadFile(path, &probe); err != nil {
+	if _, err := ckpt.ReadFileFallback(path, &probe); err != nil {
 		return 0, err
 	}
 	return probe.Seed, nil

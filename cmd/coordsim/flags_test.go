@@ -28,6 +28,15 @@ func TestValidateCombination(t *testing.T) {
 	if err := ckpt.WriteAtomic(truncated, data); err != nil {
 		t.Fatal(err)
 	}
+	// A torn latest generation whose rotated previous one is valid: a resume
+	// restores the previous one, so its seed is the one to check.
+	rotated := filepath.Join(dir, "rotated.ckpt")
+	if err := ckpt.WriteFileAtomic(ckpt.PrevPath(rotated), map[string]any{"kind": "coordinated", "seed": 7}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ckpt.WriteAtomic(rotated, data); err != nil {
+		t.Fatal(err)
+	}
 
 	cases := []struct {
 		name    string
@@ -65,6 +74,8 @@ func TestValidateCombination(t *testing.T) {
 		{"resume default seed mismatch", flagValues{set: mkSet("run", "resume"), resume: ckptPath, seed: 1}, "checkpointed with -seed 7"},
 		{"resume missing file", flagValues{set: mkSet("run", "resume"), resume: filepath.Join(dir, "nope.ckpt"), seed: 1}, "-resume"},
 		{"resume corrupt file", flagValues{set: mkSet("run", "resume"), resume: truncated, seed: 1}, "-resume"},
+		{"resume torn latest, valid prev", flagValues{set: mkSet("run", "resume", "seed"), resume: rotated, seed: 7}, ""},
+		{"resume torn latest, prev seed mismatch", flagValues{set: mkSet("run", "resume", "seed"), resume: rotated, seed: 8}, "checkpointed with -seed 7"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

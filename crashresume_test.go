@@ -1,13 +1,19 @@
 package coordcharge
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 	"time"
 
+	"coordcharge/internal/ckpt"
 	"coordcharge/internal/dynamo"
 	"coordcharge/internal/faults"
 	"coordcharge/internal/obs"
@@ -23,8 +29,8 @@ import (
 // from the spec and resumed from the last on-disk checkpoint. After the
 // final resume completes, the run's summary and flight digest must be
 // byte-identical to an uninterrupted run of the same spec. Both control
-// planes are covered: the synchronous plane restores state directly, the
-// distributed plane restores by verified deterministic replay.
+// planes are covered; each resume replays the run up to the checkpoint's
+// cursor and verifies the replay against the checkpoint.
 
 // chaosKills picks the kill offsets, relative to run start, for one seed:
 // one inside the grid event (the outage spans [PreRoll, PreRoll+OutageLen),
@@ -65,6 +71,14 @@ func runWithKills(t *testing.T, spec scenario.CoordSpec, kills []time.Duration) 
 // kernel than the one that wrote it.
 func runWithKillsVariant(t *testing.T, spec scenario.CoordSpec, kills []time.Duration, kernelAt func(attempt int) string) (summary, digest string) {
 	t.Helper()
+	res, sink := runKilled(t, spec, kills, kernelAt)
+	return res.Summary(), sink.Flight.Digest()
+}
+
+// runKilled does runWithKillsVariant's work and returns the final resume's
+// result and obs sink.
+func runKilled(t *testing.T, spec scenario.CoordSpec, kills []time.Duration, kernelAt func(attempt int) string) (*scenario.CoordResult, *obs.Sink) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "run.ckpt")
 	var start time.Duration
 	haveStart := false
@@ -101,7 +115,7 @@ func runWithKillsVariant(t *testing.T, spec scenario.CoordSpec, kills []time.Dur
 		if err != nil {
 			t.Fatalf("final resume: %v", err)
 		}
-		return res.Summary(), run.Obs.Flight.Digest()
+		return res, run.Obs
 	}
 }
 
@@ -122,8 +136,7 @@ func checkChaosSeed(t *testing.T, seed int64, distributed bool) {
 	}
 }
 
-// TestCrashResumeSync covers the synchronous control plane (direct state
-// restore).
+// TestCrashResumeSync covers the synchronous control plane.
 func TestCrashResumeSync(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
@@ -133,10 +146,8 @@ func TestCrashResumeSync(t *testing.T) {
 	}
 }
 
-// TestCrashResumeDistributed covers the message-passing control plane
-// (verified replay restore: event closures in the engine queue cannot be
-// serialized, so the resume re-executes the timeline and proves it landed on
-// the checkpoint's digests).
+// TestCrashResumeDistributed covers the message-passing control plane, whose
+// replay must also reproduce the engine counters.
 func TestCrashResumeDistributed(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full charging-period simulations on the distributed plane")
@@ -224,6 +235,127 @@ func TestCrashResumeGracefulInterrupt(t *testing.T) {
 	}
 	if got := res2.Summary(); got != wantSummary {
 		t.Errorf("summary diverged after graceful interrupt:\n--- resumed ---\n%s--- uninterrupted ---\n%s", got, wantSummary)
+	}
+}
+
+// TestCrashResumeObsCounters: a resume replays the ticks before its cursor
+// into the fresh sink, so after kill-and-resume the final sink's counters
+// equal an uninterrupted run's on both planes.
+func TestCrashResumeObsCounters(t *testing.T) {
+	for _, plane := range []string{"sync", "distributed"} {
+		for seed := int64(1); seed <= 2; seed++ {
+			t.Run(fmt.Sprintf("%s/seed%d", plane, seed), func(t *testing.T) {
+				t.Parallel()
+				spec := stormSpec(seed)
+				armStorm(&spec)
+				spec.Distributed = plane == "distributed"
+				ref := spec
+				ref.Obs = obs.NewSink(0)
+				if _, err := scenario.RunCoordinated(ref); err != nil {
+					t.Fatal(err)
+				}
+				_, sink := runKilled(t, spec, chaosKills(seed), nil)
+				got, want := sink.Reg.Snapshot().Counters, ref.Obs.Reg.Snapshot().Counters
+				if !maps.Equal(got, want) {
+					t.Errorf("counters diverged after kill-and-resume:\n  resumed       %v\n  uninterrupted %v", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestResumeRejectsTamperedCheckpoint: the verification block is a resume's
+// only tripwire. Each case rewrites one field of a valid checkpoint inside a
+// valid envelope, and the resume must fail with that field's error before
+// the run continues. Every tampered copy gets a path of its own, so no
+// rotated ".prev" generation exists to stand in for it.
+func TestResumeRejectsTamperedCheckpoint(t *testing.T) {
+	bump := func(raw json.RawMessage) json.RawMessage {
+		v, err := strconv.ParseUint(string(raw), 10, 64)
+		if err != nil {
+			t.Fatalf("field %s is not an unsigned integer: %v", raw, err)
+		}
+		return json.RawMessage(strconv.FormatUint(v+1, 10))
+	}
+	set := func(v string) func(json.RawMessage) json.RawMessage {
+		return func(json.RawMessage) json.RawMessage { return json.RawMessage(v) }
+	}
+	type tamper struct {
+		field   string
+		rewrite func(json.RawMessage) json.RawMessage
+		wantErr string
+	}
+	tampers := []tamper{
+		{"kind", set(`"coordinated"`), `is a "coordinated" checkpoint, want "coordinated-replay"`},
+		{"seed", bump, "written with seed 2, this run uses seed 1"},
+		{"fingerprint", bump, "describes a different experiment"},
+		{"now", set("360000000000000000"), "checkpoint cursor 100000h0m0s is not a tick of the run window"},
+		{"state_hash", bump, "replay diverged: fleet hash"},
+		{"flight_digest", set(`"0123456789abcdef"`), "replay diverged: flight digest"},
+		{"flight_total", bump, "flight events, checkpoint recorded"},
+	}
+	for _, arm := range []struct {
+		name    string
+		edit    func(*scenario.CoordSpec)
+		tampers []tamper
+	}{
+		{"sync-storm", func(*scenario.CoordSpec) {}, tampers},
+		{"sync-latency", func(s *scenario.CoordSpec) { s.CommandLatency = 20 * time.Second },
+			append(slices.Clone(tampers), tamper{"engine_seq", bump, "replay diverged: engine at"})},
+		{"event-storm", func(s *scenario.CoordSpec) { s.Kernel = scenario.KernelEvent }, tampers},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			t.Parallel()
+			spec := stormSpec(1)
+			armStorm(&spec)
+			arm.edit(&spec)
+			dir := t.TempDir()
+			first := spec
+			first.Obs = obs.NewSink(0)
+			first.Checkpoint = filepath.Join(dir, "run.ckpt")
+			first.CheckpointEvery = time.Hour
+			polls := 0
+			first.Interrupt = func() bool { polls++; return polls > 200 }
+			if res, err := scenario.RunCoordinated(first); err != nil || !res.Interrupted {
+				t.Fatalf("interrupted run: err=%v", err)
+			}
+			// Decode into raw fields: map[string]any would turn the uint64
+			// fingerprint into a float64, and the fingerprint check would
+			// fire for every case.
+			var fields map[string]json.RawMessage
+			if err := ckpt.ReadFile(first.Checkpoint, &fields); err != nil {
+				t.Fatal(err)
+			}
+			resume := func(name, field string, rewrite func(json.RawMessage) json.RawMessage) error {
+				copied := maps.Clone(fields)
+				if field != "" {
+					raw, ok := copied[field]
+					if !ok {
+						t.Fatalf("checkpoint has no %q field", field)
+					}
+					copied[field] = rewrite(raw)
+				}
+				path := filepath.Join(dir, name+".ckpt")
+				if err := ckpt.WriteFileAtomic(path, copied); err != nil {
+					t.Fatal(err)
+				}
+				run := spec
+				run.Obs = obs.NewSink(0)
+				run.Resume = path
+				_, err := scenario.RunCoordinated(run)
+				return err
+			}
+			// The control: an untouched rewrite resumes.
+			if err := resume("untouched", "", nil); err != nil {
+				t.Fatalf("untouched checkpoint: %v", err)
+			}
+			for _, tc := range arm.tampers {
+				err := resume(tc.field, tc.field, tc.rewrite)
+				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
+					t.Errorf("%s rewritten: err = %v, want one containing %q", tc.field, err, tc.wantErr)
+				}
+			}
+		})
 	}
 }
 

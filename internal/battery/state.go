@@ -2,10 +2,9 @@ package battery
 
 import "coordcharge/internal/units"
 
-// PackState is a RackPack's serializable mutable state. The surface and the
-// physical constants (watts per amp, CV rate, cutoff) are construction-time
-// configuration and are rebuilt from the scenario spec on restore, not
-// checkpointed.
+// PackState is a RackPack's mutable state. The surface and the physical
+// constants (watts per amp, CV rate, cutoff) are construction-time
+// configuration and are absent here.
 type PackState struct {
 	Setpoint units.Current  `json:"setpoint"`
 	QRemain  float64        `json:"q_remain"`
@@ -15,8 +14,8 @@ type PackState struct {
 	Deficit  float64        `json:"deficit"`
 }
 
-// ExportState captures the pack's mutable state.
-func (rp *RackPack) ExportState() PackState {
+// Snapshot captures the pack's mutable state.
+func (rp *RackPack) Snapshot() PackState {
 	return PackState{
 		Setpoint: rp.setpoint,
 		QRemain:  rp.qRemain,
@@ -25,15 +24,4 @@ func (rp *RackPack) ExportState() PackState {
 		Charging: rp.charging,
 		Deficit:  rp.deficit,
 	}
-}
-
-// RestoreState overwrites the pack's mutable state from a checkpoint. The
-// pack keeps its constructed surface and constants.
-func (rp *RackPack) RestoreState(st PackState) {
-	rp.setpoint = st.Setpoint
-	rp.qRemain = st.QRemain
-	rp.qInitial = st.QInitial
-	rp.dod0 = st.DOD0
-	rp.charging = st.Charging
-	rp.deficit = st.Deficit
 }

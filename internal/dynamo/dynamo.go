@@ -103,7 +103,7 @@ type Agent struct {
 	engine  *sim.Engine
 	latency time.Duration
 
-	inj      *faults.Injector //coordvet:transient wiring: SetFaults re-attaches the injector before resume
+	inj      *faults.Injector
 	comp     string
 	last     Snapshot
 	lastVer  uint64 // rack.Version() when last was taken (fault-free path)
@@ -446,9 +446,9 @@ type Controller struct {
 	// entry was taken at, so re-sampling an unchanged rack skips the copy.
 	tel        []Snapshot
 	telOK      []bool
-	telOKCount int //coordvet:transient derived: RestoreState recounts it from telOK
+	telOKCount int
 	telVer     []uint64
-	viewBuf    []Snapshot //coordvet:transient scratch: per-call view buffer, rebuilt by views
+	viewBuf    []Snapshot
 
 	// mutated records whether this tick's planning/admission phase touched
 	// any rack; anyInj (recomputed by each sample) whether any agent carries
@@ -456,14 +456,12 @@ type Controller struct {
 	// re-sample can be skipped: with no mutations and no injectors it is a
 	// pure no-op, but injected reads draw randomness per call and must keep
 	// their historical draw order.
-	mutated bool //coordvet:transient scratch: per-tick flag, reset by Tick
-	anyInj  bool //coordvet:transient derived: recomputed by every sample
+	mutated bool
+	anyInj  bool
 
 	// lastFresh and telSummaried gate the planning tick's telemetry summary:
 	// one is journalled only when something changed (a mutation, a freshness
-	// change, or the first tick after construction or restart). Both are real
-	// state, not caches — a resumed run must keep suppressing exactly where
-	// the uninterrupted run would — so ExportState/RestoreState carry them.
+	// change, or the first tick after construction or restart).
 	lastFresh    int
 	telSummaried bool
 }

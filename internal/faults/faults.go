@@ -248,9 +248,9 @@ type Injector struct {
 	counters Counters
 
 	// Mirrored observability counters (nil when no sink is attached).
-	cReadsDropped, cReadsStaled                 *obs.Counter //coordvet:transient telemetry: re-attached by SetObs, not simulation state
-	cCmdsDropped, cCmdsDuplicated, cCmdsDelayed *obs.Counter //coordvet:transient telemetry: re-attached by SetObs, not simulation state
-	cAgentOutages, cControllerOutages           *obs.Counter //coordvet:transient telemetry: re-attached by SetObs, not simulation state
+	cReadsDropped, cReadsStaled                 *obs.Counter
+	cCmdsDropped, cCmdsDuplicated, cCmdsDelayed *obs.Counter
+	cAgentOutages, cControllerOutages           *obs.Counter
 }
 
 // New builds an injector. It panics on an invalid config: injector

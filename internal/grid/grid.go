@@ -20,8 +20,9 @@
 // Everything is deterministic and seed-reproducible: series lookups are
 // pure functions of virtual time, events fire in sorted order behind an
 // integer cursor, and the synthetic generators draw from internal/rng. The
-// policy's mutable state exports/restores through PolicyState so
-// checkpointed runs resume bit-exactly mid-series.
+// policy's mutable state exports as PolicyState, which a coordinated-run
+// checkpoint hashes so that a resume whose replay forks the grid cursor
+// fails loudly.
 package grid
 
 import (
@@ -154,7 +155,7 @@ type Spec struct {
 
 // Validate checks the spec and normalises it: events are sorted by start
 // time (ties by kind, duration, fraction) so the policy can fire them from
-// an integer cursor — the "grid cursor" that checkpoints must restore.
+// an integer cursor — the "grid cursor" a checkpoint's fleet hash covers.
 func (s *Spec) Validate() error {
 	if s == nil {
 		return nil

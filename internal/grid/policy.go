@@ -86,14 +86,14 @@ type Policy struct {
 	spec *Spec
 	cfg  PolicyConfig // spec.Policy with defaults resolved
 
-	node  *power.Node  //coordvet:transient wiring: Bind re-attaches before RestoreState
-	racks []*rack.Rack //coordvet:transient wiring: Bind re-attaches before RestoreState
-	queue *storm.Queue //coordvet:transient wiring: Bind re-attaches before RestoreState
-	ccfg  core.Config  //coordvet:transient wiring: Bind re-attaches before RestoreState
+	node  *power.Node
+	racks []*rack.Rack
+	queue *storm.Queue
+	ccfg  core.Config
 
 	// Grid cursor: the index of the next unfired event (events are sorted
 	// by Validate). This plus the defer/shave fields below is the mutable
-	// state a checkpoint must carry for bit-exact resume.
+	// state Snapshot exports.
 	eventCursor int
 	droopUntil  time.Duration
 	deferring   bool
@@ -101,18 +101,18 @@ type Policy struct {
 	deferLifted bool
 	lastCap     units.Power // 0 until the first Tick observes the cap
 
-	shaving  []*rack.Rack    // discharge order preserved for determinism
-	shaveSet map[string]bool //coordvet:transient derived: RestoreState rebuilds it from the restored shaving list
+	shaving  []*rack.Rack // discharge order preserved for determinism
+	shaveSet map[string]bool
 
 	metrics Metrics
 
 	// Observability (nil when detached).
-	sink                    *obs.Sink    //coordvet:transient telemetry: re-attached by SetObs, not simulation state
-	gCap, gPrice, gCarbon   *obs.Gauge   //coordvet:transient telemetry: re-attached by SetObs, not simulation state
-	gExport, gDefer         *obs.Gauge   //coordvet:transient telemetry: re-attached by SetObs, not simulation state
-	cDroop, cDR, cDeferred  *obs.Counter //coordvet:transient telemetry: re-attached by SetObs, not simulation state
-	cShaveStart, cShaveStop *obs.Counter //coordvet:transient telemetry: re-attached by SetObs, not simulation state
-	cCapShed, cViolation    *obs.Counter //coordvet:transient telemetry: re-attached by SetObs, not simulation state
+	sink                    *obs.Sink
+	gCap, gPrice, gCarbon   *obs.Gauge
+	gExport, gDefer         *obs.Gauge
+	cDroop, cDR, cDeferred  *obs.Counter
+	cShaveStart, cShaveStop *obs.Counter
+	cCapShed, cViolation    *obs.Counter
 }
 
 // NewPolicy validates spec and builds its runtime. The policy is inert

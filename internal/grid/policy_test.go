@@ -368,70 +368,3 @@ func TestAccountScoresViolationsAndIntegrals(t *testing.T) {
 		t.Fatalf("GridEnergy = %v kWh", m.GridEnergy.KWh())
 	}
 }
-
-func TestExportRestoreRoundTrip(t *testing.T) {
-	build := func() (*Policy, []*rack.Rack, *storm.Queue, *power.Node) {
-		racks := []*rack.Rack{
-			idleRack("p3a", rack.P3, 6300*units.Watt),
-			idleRack("p3b", rack.P3, 6300*units.Watt),
-		}
-		price := StepSeries(time.Duration(0), 150.0)
-		spec := &Spec{
-			Price: price,
-			Events: []Event{
-				{Kind: DemandResponse, At: 0, Dur: time.Hour},
-				{Kind: FreqDroop, At: 2 * time.Hour, Dur: time.Minute},
-			},
-			Policy: PolicyConfig{ShaveTarget: 8 * units.Kilowatt, DeferPrice: 120},
-		}
-		n := power.NewNode("msb", power.LevelMSB, 100*units.Kilowatt)
-		for _, r := range racks {
-			n.AttachLoad(r)
-		}
-		q := storm.NewQueue(storm.Config{})
-		p, err := NewPolicy(spec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.Bind(n, racks, q, core.DefaultConfig()); err != nil {
-			t.Fatal(err)
-		}
-		return p, racks, q, n
-	}
-	a, racksA, _, _ := build()
-	a.Tick(0)
-	a.Account(0, 3*time.Second)
-	st := a.ExportState()
-	if len(st.Shaving) == 0 || !st.Deferring {
-		t.Fatalf("expected active shave + deferral in exported state: %+v", st)
-	}
-
-	b, racksB, _, _ := build()
-	// Mirror the rack-side state (the scenario restores racks separately).
-	for i, r := range racksA {
-		if !r.InputUp() {
-			racksB[i].LoseInput(0)
-		}
-	}
-	if err := b.RestoreState(st); err != nil {
-		t.Fatal(err)
-	}
-	st2 := b.ExportState()
-	if len(st2.Shaving) != len(st.Shaving) || st2.EventCursor != st.EventCursor ||
-		st2.Deferring != st.Deferring || st2.Metrics != st.Metrics {
-		t.Fatalf("round trip diverged:\n a=%+v\n b=%+v", st, st2)
-	}
-
-	// Restore against an unknown rack name must fail loudly.
-	c, _, _, _ := build()
-	bad := st
-	bad.Shaving = []string{"ghost"}
-	if err := c.RestoreState(bad); err == nil {
-		t.Fatal("restored a shaving set naming an unknown rack")
-	}
-	bad = st
-	bad.EventCursor = 99
-	if err := c.RestoreState(bad); err == nil {
-		t.Fatal("restored an out-of-range event cursor")
-	}
-}

@@ -1,19 +1,16 @@
 package grid
 
 import (
-	"fmt"
 	"time"
 
-	"coordcharge/internal/rack"
 	"coordcharge/internal/units"
 )
 
-// PolicyState is the grid policy's serializable state — the "grid cursor":
-// the next-unfired-event index, the defer state machine, the droop latch,
-// the shaving set (in discharge order), and the accumulated metrics. The
-// spec (series, events, thresholds) is construction-time and rebuilt from
-// the scenario spec; the checkpoint fingerprint covers it, so state can
-// never be restored against a different schedule.
+// PolicyState is the grid policy's mutable state — the "grid cursor": the
+// next-unfired-event index, the defer state machine, the droop latch, the
+// shaving set (in discharge order), and the accumulated metrics. The spec
+// (series, events, thresholds) is construction-time configuration and is
+// absent here.
 type PolicyState struct {
 	EventCursor int           `json:"event_cursor"`
 	DroopUntil  time.Duration `json:"droop_until"`
@@ -25,12 +22,9 @@ type PolicyState struct {
 	Metrics     Metrics       `json:"metrics"`
 }
 
-// ExportState captures the policy's mutable state. Shaving racks keep
-// their discharge order.
-func (p *Policy) ExportState() PolicyState {
-	if p == nil {
-		return PolicyState{}
-	}
+// Snapshot captures the policy's mutable state. Shaving racks keep their
+// discharge order.
+func (p *Policy) Snapshot() PolicyState {
 	st := PolicyState{
 		EventCursor: p.eventCursor,
 		DroopUntil:  p.droopUntil,
@@ -44,37 +38,4 @@ func (p *Policy) ExportState() PolicyState {
 		st.Shaving = append(st.Shaving, r.Name())
 	}
 	return st
-}
-
-// RestoreState overwrites the policy's mutable state from a checkpoint,
-// resolving shaving-rack names against the bound rack set. Call after
-// Bind.
-func (p *Policy) RestoreState(st PolicyState) error {
-	if st.EventCursor < 0 || st.EventCursor > len(p.spec.Events) {
-		return fmt.Errorf("grid: state event cursor %d outside [0,%d]", st.EventCursor, len(p.spec.Events))
-	}
-	byName := make(map[string]*rack.Rack, len(p.racks))
-	for _, r := range p.racks {
-		byName[r.Name()] = r
-	}
-	shaving := make([]*rack.Rack, 0, len(st.Shaving))
-	set := make(map[string]bool, len(st.Shaving))
-	for _, name := range st.Shaving {
-		r, ok := byName[name]
-		if !ok {
-			return fmt.Errorf("grid: state names unknown shaving rack %q", name)
-		}
-		shaving = append(shaving, r)
-		set[name] = true
-	}
-	p.eventCursor = st.EventCursor
-	p.droopUntil = st.DroopUntil
-	p.deferring = st.Deferring
-	p.deferSince = st.DeferSince
-	p.deferLifted = st.DeferLifted
-	p.lastCap = st.LastCap
-	p.shaving = shaving
-	p.shaveSet = set
-	p.metrics = st.Metrics
-	return nil
 }

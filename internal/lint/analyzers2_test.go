@@ -28,125 +28,6 @@ func TestCkptParityMissingWhy(t *testing.T) {
 	}
 }
 
-// TestCkptParityCatchesGridCursorDrop is the mutation test on a real
-// package: delete the eventCursor restore from internal/grid's RestoreState
-// (in a copy, via the fixture overlay) and ckptparity must flag the field.
-// This is the drift the analyzer exists to catch — the checkpoint would
-// resume with the grid event cursor rewound to zero and replay fired events.
-func TestCkptParityCatchesGridCursorDrop(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks internal/grid and its dependencies; skipped in -short")
-	}
-	overlay := t.TempDir()
-	dst := filepath.Join(overlay, "coordcharge", "internal", "grid")
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	srcs, err := filepath.Glob(filepath.Join("..", "grid", "*.go"))
-	if err != nil || len(srcs) == 0 {
-		t.Fatalf("glob internal/grid: %v (%d files)", err, len(srcs))
-	}
-	const dropped = "p.eventCursor = st.EventCursor"
-	found := false
-	for _, src := range srcs {
-		if strings.HasSuffix(src, "_test.go") {
-			continue
-		}
-		data, err := os.ReadFile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Contains(data, []byte(dropped)) {
-			data = bytes.Replace(data, []byte(dropped), []byte("_ = st.EventCursor"), 1)
-			found = true
-		}
-		if err := os.WriteFile(filepath.Join(dst, filepath.Base(src)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !found {
-		t.Fatalf("internal/grid no longer contains %q; update the mutation", dropped)
-	}
-
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader.OverlayRoot = overlay
-	pkg, err := loader.Load("coordcharge/internal/grid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Run(loader.Program([]*Package{pkg}), []*Analyzer{CkptParity})
-	for _, d := range diags {
-		if strings.Contains(d.Message, "Policy.eventCursor") &&
-			strings.Contains(d.Message, "not written by RestoreState") {
-			return
-		}
-	}
-	t.Fatalf("dropped eventCursor restore not caught; got %d diagnostic(s): %v", len(diags), diags)
-}
-
-// TestCkptParityCatchesKernelTickDrop is the same mutation test against the
-// event kernel's checkpoint block (DESIGN.md §15): delete the ticksExecuted
-// restore from scenario's eventKernel.RestoreState and ckptparity must flag
-// the field. Without it, a resumed event-kernel run would report kernel
-// tick accounting rewound to zero — and any schedule derived from it would
-// silently fork from the checkpointed timeline.
-func TestCkptParityCatchesKernelTickDrop(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks internal/scenario and its dependencies; skipped in -short")
-	}
-	overlay := t.TempDir()
-	dst := filepath.Join(overlay, "coordcharge", "internal", "scenario")
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	srcs, err := filepath.Glob(filepath.Join("..", "scenario", "*.go"))
-	if err != nil || len(srcs) == 0 {
-		t.Fatalf("glob internal/scenario: %v (%d files)", err, len(srcs))
-	}
-	const dropped = "k.ticksExecuted = ck.Kernel.TicksExecuted"
-	found := false
-	for _, src := range srcs {
-		if strings.HasSuffix(src, "_test.go") {
-			continue
-		}
-		data, err := os.ReadFile(src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if bytes.Contains(data, []byte(dropped)) {
-			data = bytes.Replace(data, []byte(dropped), []byte("_ = ck.Kernel.TicksExecuted"), 1)
-			found = true
-		}
-		if err := os.WriteFile(filepath.Join(dst, filepath.Base(src)), data, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !found {
-		t.Fatalf("internal/scenario no longer contains %q; update the mutation", dropped)
-	}
-
-	loader, err := NewLoader(".")
-	if err != nil {
-		t.Fatal(err)
-	}
-	loader.OverlayRoot = overlay
-	pkg, err := loader.Load("coordcharge/internal/scenario")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := Run(loader.Program([]*Package{pkg}), []*Analyzer{CkptParity})
-	for _, d := range diags {
-		if strings.Contains(d.Message, "eventKernel.ticksExecuted") &&
-			strings.Contains(d.Message, "not written by RestoreState") {
-			return
-		}
-	}
-	t.Fatalf("dropped kernel ticksExecuted restore not caught; got %d diagnostic(s): %v", len(diags), diags)
-}
-
 func TestUnitSafetyGolden(t *testing.T) {
 	runGolden(t, "unitsafety", []*Analyzer{UnitSafety}, "coordcharge/internal/unitfix")
 }

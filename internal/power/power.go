@@ -67,11 +67,11 @@ func DefaultTripRule() TripRule {
 type Node struct {
 	name     string
 	level    Level
-	limit    units.Power //coordvet:transient config: scenario build re-applies SetLimit before RestoreState
-	rule     TripRule    //coordvet:transient config: scenario build re-applies SetTripRule before RestoreState
-	parent   *Node       //coordvet:transient topology: rebuilt by AddChild/AttachLoad at scenario build
-	children []*Node     //coordvet:transient topology: rebuilt by AddChild/AttachLoad at scenario build
-	loads    []Load      //coordvet:transient topology: rebuilt by AddChild/AttachLoad at scenario build
+	limit    units.Power
+	rule     TripRule
+	parent   *Node
+	children []*Node
+	loads    []Load
 
 	overSince   time.Duration // virtual time the sustained overdraw began
 	overdrawn   bool

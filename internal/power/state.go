@@ -1,16 +1,10 @@
 package power
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
-// NodeState is one breaker's serializable mutable state. Topology (parents,
-// children, loads), limits, and trip rules are construction-time
-// configuration rebuilt from the scenario spec; only the protection latches
-// are checkpointed. Input-path state (which racks see power) is restored
-// verbatim on the rack side, so restoring these flags needs no input
-// propagation.
+// NodeState is one breaker's mutable state: its protection latches.
+// Topology (parents, children, loads), limits, and trip rules are
+// construction-time configuration and are absent here.
 type NodeState struct {
 	Name        string        `json:"name"`
 	OverSince   time.Duration `json:"over_since"`
@@ -19,8 +13,8 @@ type NodeState struct {
 	Deenergized bool          `json:"deenergized"`
 }
 
-// ExportState captures the breaker's protection latches.
-func (n *Node) ExportState() NodeState {
+// Snapshot captures the breaker's protection latches.
+func (n *Node) Snapshot() NodeState {
 	return NodeState{
 		Name:        n.name,
 		OverSince:   n.overSince,
@@ -28,18 +22,4 @@ func (n *Node) ExportState() NodeState {
 		Tripped:     n.tripped,
 		Deenergized: n.deenergized,
 	}
-}
-
-// RestoreState overwrites the breaker's protection latches from a
-// checkpoint. The node must be the one the state was exported from (matched
-// by name).
-func (n *Node) RestoreState(st NodeState) error {
-	if st.Name != n.name {
-		return fmt.Errorf("power: checkpoint state for %q restored into %q", st.Name, n.name)
-	}
-	n.overSince = st.OverSince
-	n.overdrawn = st.Overdrawn
-	n.tripped = st.Tripped
-	n.deenergized = st.Deenergized
-	return nil
 }

@@ -52,8 +52,8 @@ type Rack struct {
 
 	demand  units.Power            // what the servers want to draw
 	caps    map[string]units.Power // Dynamo power caps by issuing controller
-	capMin  units.Power            // tightest entry of caps, kept in sync by Cap/Uncap //coordvet:transient derived: refreshCapMin rebuilds it from caps on restore
-	hasCap  bool                   // whether caps is non-empty (capMin is meaningful) //coordvet:transient derived: refreshCapMin rebuilds it from caps on restore
+	capMin  units.Power            // tightest entry of caps, kept in sync by Cap/Uncap
+	hasCap  bool                   // whether caps is non-empty (capMin is meaningful)
 	inputUp bool
 
 	// version counts externally visible state mutations. Every mutating
@@ -84,8 +84,8 @@ type Rack struct {
 	// within watchdogTTL while a charge is running, the rack reverts to the
 	// safe low-current charging policy so a partitioned rack can never trip
 	// its breaker. Zero TTL disables the watchdog.
-	watchdogTTL   time.Duration //coordvet:transient config: scenario build re-arms SetWatchdog before RestoreState
-	safeCurrent   units.Current //coordvet:transient config: scenario build re-arms SetWatchdog before RestoreState
+	watchdogTTL   time.Duration
+	safeCurrent   units.Current
 	lastContact   time.Duration
 	haveContact   bool
 	failSafe      bool
@@ -93,8 +93,8 @@ type Rack struct {
 
 	// Observability (nil when detached): fail-safe activations are counted
 	// and journaled so a watchdog firing can be traced post-hoc.
-	sink      *obs.Sink    //coordvet:transient telemetry: re-attached by SetObs, not simulation state
-	cFailSafe *obs.Counter //coordvet:transient telemetry: re-attached by SetObs, not simulation state
+	sink      *obs.Sink
+	cFailSafe *obs.Counter
 }
 
 // New returns a rack with input power up, a fully charged battery pack, and

@@ -1,24 +1,22 @@
 package rack
 
 import (
-	"fmt"
 	"time"
 
 	"coordcharge/internal/battery"
 	"coordcharge/internal/units"
 )
 
-// State is a rack's serializable mutable state: everything a checkpoint must
-// carry to continue the rack bit-exactly. Construction-time configuration —
-// name, priority, charger policy, battery surface, watchdog TTL and safe
-// current, observability wiring — is rebuilt from the scenario spec on
-// restore and deliberately absent here.
+// State is a rack's mutable simulation state, pack included.
+// Construction-time configuration — priority, charger policy, battery
+// surface, watchdog TTL and safe current, observability wiring — is absent,
+// and so are the demand and the version counter: the event kernel pushes
+// demand only on the ticks it executes, so both lag the dense loop's values
+// without changing any result.
 type State struct {
 	Name           string                 `json:"name"`
-	Demand         units.Power            `json:"demand"`
 	Caps           map[string]units.Power `json:"caps,omitempty"`
 	InputUp        bool                   `json:"input_up"`
-	Version        uint64                 `json:"version"`
 	UnservedEnergy units.Energy           `json:"unserved_energy"`
 	LoadDrops      int                    `json:"load_drops"`
 	ChargeStart    time.Duration          `json:"charge_start"`
@@ -32,14 +30,12 @@ type State struct {
 	Pack           battery.PackState      `json:"pack"`
 }
 
-// ExportState captures the rack's mutable state. The caps map is copied so
-// later mutations cannot alias into the checkpoint.
-func (r *Rack) ExportState() State {
+// Snapshot captures the rack's mutable state. The caps map is copied so
+// later mutations cannot alias into the snapshot.
+func (r *Rack) Snapshot() State {
 	st := State{
 		Name:           r.name,
-		Demand:         r.demand,
 		InputUp:        r.inputUp,
-		Version:        r.version,
 		UnservedEnergy: r.unservedEnergy,
 		LoadDrops:      r.loadDrops,
 		ChargeStart:    r.chargeStart,
@@ -50,7 +46,7 @@ func (r *Rack) ExportState() State {
 		HaveContact:    r.haveContact,
 		FailSafe:       r.failSafe,
 		FailSafeCount:  r.failSafeCount,
-		Pack:           r.pack.ExportState(),
+		Pack:           r.pack.Snapshot(),
 	}
 	if len(r.caps) > 0 {
 		st.Caps = make(map[string]units.Power, len(r.caps))
@@ -59,34 +55,4 @@ func (r *Rack) ExportState() State {
 		}
 	}
 	return st
-}
-
-// RestoreState overwrites the rack's mutable state from a checkpoint. The
-// rack must be the one the state was exported from (matched by name); its
-// constructed policy, surface, watchdog configuration, and observability
-// wiring are kept.
-func (r *Rack) RestoreState(st State) error {
-	if st.Name != r.name {
-		return fmt.Errorf("rack: checkpoint state for %q restored into %q", st.Name, r.name)
-	}
-	r.demand = st.Demand
-	r.caps = make(map[string]units.Power, len(st.Caps))
-	for k, v := range st.Caps {
-		r.caps[k] = v
-	}
-	r.refreshCapMin()
-	r.inputUp = st.InputUp
-	r.unservedEnergy = st.UnservedEnergy
-	r.loadDrops = st.LoadDrops
-	r.chargeStart = st.ChargeStart
-	r.chargeEnd = st.ChargeEnd
-	r.lastDOD = st.LastDOD
-	r.pendingDOD = st.PendingDOD
-	r.lastContact = st.LastContact
-	r.haveContact = st.HaveContact
-	r.failSafe = st.FailSafe
-	r.failSafeCount = st.FailSafeCount
-	r.pack.RestoreState(st.Pack)
-	r.version = st.Version
-	return nil
 }

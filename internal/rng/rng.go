@@ -17,55 +17,12 @@ import (
 // Source is a deterministic random source. It wraps math/rand with the
 // distribution helpers the simulator needs.
 type Source struct {
-	r    *rand.Rand
-	seed int64
-	cs   *countingSource
+	r *rand.Rand
 }
-
-// countingSource wraps the underlying generator and counts how many times it
-// has been stepped. Every rand.Rand method draws its entropy through Int63 or
-// Uint64, and each of those advances the generator exactly one step, so the
-// pair (seed, calls) pins the stream position exactly: replaying calls steps
-// from a fresh seed reproduces the generator state bit for bit. That is what
-// lets a checkpoint capture an RNG mid-stream without changing the stream
-// itself.
-type countingSource struct {
-	src   rand.Source64
-	calls uint64
-}
-
-func (c *countingSource) Int63() int64 { c.calls++; return c.src.Int63() }
-
-func (c *countingSource) Uint64() uint64 { c.calls++; return c.src.Uint64() }
-
-func (c *countingSource) Seed(seed int64) { c.src.Seed(seed); c.calls = 0 }
 
 // New returns a Source seeded with seed.
 func New(seed int64) *Source {
-	cs := &countingSource{src: rand.NewSource(seed).(rand.Source64)}
-	return &Source{r: rand.New(cs), seed: seed, cs: cs}
-}
-
-// State is a serializable stream position: the seed the source was created
-// with and the number of generator steps consumed since. FromState rebuilds
-// the exact mid-stream generator from it.
-type State struct {
-	Seed  int64  `json:"seed"`
-	Calls uint64 `json:"calls"`
-}
-
-// State returns the source's current stream position.
-func (s *Source) State() State { return State{Seed: s.seed, Calls: s.cs.calls} }
-
-// FromState reconstructs a source at the exact stream position st describes
-// by reseeding and fast-forwarding the recorded number of generator steps.
-func FromState(st State) *Source {
-	s := New(st.Seed)
-	for i := uint64(0); i < st.Calls; i++ {
-		s.cs.src.Uint64()
-	}
-	s.cs.calls = st.Calls
-	return s
+	return &Source{r: rand.New(rand.NewSource(seed))}
 }
 
 // Split derives a new independent-looking source from s. It is used to give

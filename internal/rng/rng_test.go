@@ -2,9 +2,36 @@ package rng
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
+
+// A Source must emit the same draws as a bare math/rand generator with the
+// same seed, which is what every committed seed-pinned expectation in this
+// repository depends on.
+func TestStreamsMatchMathRand(t *testing.T) {
+	s := New(42)
+	ref := rand.New(rand.NewSource(42))
+	for i := 0; i < 1000; i++ {
+		if got, want := s.Float64(), ref.Float64(); got != want {
+			t.Fatalf("draw %d: Float64 %v, bare math/rand %v", i, got, want)
+		}
+	}
+	s2 := New(7)
+	ref2 := rand.New(rand.NewSource(7))
+	for i := 0; i < 100; i++ {
+		if got, want := s2.Normal(5, 2), 5+2*ref2.NormFloat64(); got != want {
+			t.Fatalf("draw %d: Normal %v, want %v", i, got, want)
+		}
+		if got, want := s2.Exp(3), ref2.ExpFloat64()*3; got != want {
+			t.Fatalf("draw %d: Exp %v, want %v", i, got, want)
+		}
+		if got, want := s2.Intn(97), ref2.Intn(97); got != want {
+			t.Fatalf("draw %d: Intn %v, want %v", i, got, want)
+		}
+	}
+}
 
 func TestDeterminism(t *testing.T) {
 	a, b := New(42), New(42)

@@ -1,24 +1,15 @@
 package scenario
 
-// Checkpoint/restore for coordinated runs. Two strategies, chosen by how the
-// run is built:
-//
-//   - direct: engine-free runs (no command latency, synchronous plane) are
-//     plain data — the checkpoint carries the full live state (racks, nodes,
-//     control plane, injector streams, flight journal, result progress) and
-//     restore copies it back in place.
-//
-//   - replay: engine-backed runs hold in-flight work as event closures in
-//     the engine queue, which cannot be serialized. The checkpoint carries
-//     only a verification block (engine progress counters, fleet state hash,
-//     flight digest); restore rebuilds the run from the spec and re-executes
-//     every tick up to the checkpoint cursor — the simulation is
-//     deterministic, so this reconstructs the identical state — then checks
-//     the recomputed values against the stored block so any nondeterminism
-//     fails loudly instead of silently forking the timeline.
-//
-// Either way the spec fingerprint and seed are checked first: a checkpoint
-// only resumes the experiment it was written from.
+// Checkpoint/resume for coordinated runs by verified replay. A coordinated
+// run is a pure function of its spec, so a checkpoint carries no run state:
+// only the resume cursor and a verification block (fleet state hash, flight
+// digest and total, and the engine counters of engine-backed runs). Restore
+// rebuilds the run from the spec, re-executes every tick up to the cursor
+// on the run's own kernel with the hooks suppressed, then checks the
+// rebuilt values against the stored block, so any nondeterminism fails
+// loudly instead of silently forking the timeline. The spec fingerprint and
+// seed are checked first: a checkpoint only resumes the experiment it was
+// written from.
 
 import (
 	"encoding/json"
@@ -27,72 +18,31 @@ import (
 	"time"
 
 	"coordcharge/internal/ckpt"
-	"coordcharge/internal/dynamo"
-	"coordcharge/internal/faults"
-	"coordcharge/internal/grid"
-	"coordcharge/internal/obs"
-	"coordcharge/internal/power"
-	"coordcharge/internal/rack"
 	"coordcharge/internal/trace"
-	"coordcharge/internal/units"
 )
 
 // coordKind tags coordinated-run checkpoints so an endurance checkpoint (or
 // anything else in a ckpt envelope) cannot be restored into the wrong runner.
-const coordKind = "coordinated"
-
-// checkpoint strategies.
-const (
-	strategyDirect = "direct"
-	strategyReplay = "replay"
-)
+// Checkpoints of the earlier full-state format carry the kind "coordinated",
+// so they too are rejected here, before any replay.
+const coordKind = "coordinated-replay"
 
 // coordCheckpoint is the payload inside the ckpt envelope for one
-// coordinated run.
+// coordinated run: the resume cursor plus the values a replay up to it must
+// reproduce.
 type coordCheckpoint struct {
 	Kind        string `json:"kind"`
 	Fingerprint uint64 `json:"fingerprint"`
 	Seed        int64  `json:"seed"`
-	Strategy    string `json:"strategy"`
 	// Now is the resume cursor: the virtual time of the next tick to run.
 	Now time.Duration `json:"now"`
 
-	// Verification block, present for both strategies: replay proves itself
-	// against these, direct restore sanity-checks its round trip.
 	StateHash      uint64        `json:"state_hash"`
 	FlightDigest   string        `json:"flight_digest,omitempty"`
 	FlightTotal    uint64        `json:"flight_total,omitempty"`
 	EngineNow      time.Duration `json:"engine_now,omitempty"`
 	EngineSeq      uint64        `json:"engine_seq,omitempty"`
 	EngineExecuted uint64        `json:"engine_executed,omitempty"`
-
-	// Kernel carries the event kernel's wake queue and tick accounting,
-	// present only when the run was driven by the event kernel (direct
-	// strategy by construction: the kernel requires an engine-free plane).
-	// A dense run resuming this checkpoint ignores it; an event-kernel run
-	// resuming a dense checkpoint rebuilds its schedule unverified.
-	Kernel *KernelState `json:"kernel,omitempty"`
-
-	// Full state, direct strategy only.
-	Racks    []rack.State           `json:"racks,omitempty"`
-	Nodes    []power.NodeState      `json:"nodes,omitempty"`
-	Hier     *dynamo.HierarchyState `json:"hier,omitempty"`
-	Injector *faults.InjectorState  `json:"injector,omitempty"`
-	Flight   *obs.RecorderState     `json:"flight,omitempty"`
-	Grid     *grid.PolicyState      `json:"grid,omitempty"`
-
-	// Result progress, direct strategy only (replay recomputes it). The
-	// scalars carry no omitempty: LastSample's fresh-run value is a large
-	// negative sentinel and zero is meaningful for the others.
-	Samples        []Sample       `json:"samples,omitempty"`
-	PeakPower      units.Power    `json:"peak_power"`
-	AvgDOD         units.Fraction `json:"avg_dod"`
-	DODs           []float64      `json:"dods,omitempty"`
-	LastChargeDone time.Duration  `json:"last_charge_done"`
-	Tripped        []string       `json:"tripped,omitempty"`
-	LastSample     time.Duration  `json:"last_sample"`
-	OutageFired    bool           `json:"outage_fired"`
-	RestoreFired   bool           `json:"restore_fired"`
 }
 
 // specFingerprint hashes every spec field that shapes the simulation, plus a
@@ -127,102 +77,59 @@ func specFingerprint(spec *CoordSpec, gen trace.Source) uint64 {
 }
 
 // stateHash digests the whole fleet — every rack (including its battery
-// pack) and every breaker node — as the checkpoint's nondeterminism
-// tripwire. JSON encoding is deterministic here: the structs are plain and
-// encoding/json sorts map keys.
+// pack), every breaker node, and the grid policy — as the checkpoint's
+// nondeterminism tripwire. JSON encoding is deterministic here: the structs
+// are plain and encoding/json sorts map keys.
 func (cr *coordRun) stateHash() (uint64, error) {
 	h := fnv.New64a()
 	enc := json.NewEncoder(h)
 	for _, r := range cr.racks {
-		if err := enc.Encode(r.ExportState()); err != nil {
+		if err := enc.Encode(r.Snapshot()); err != nil {
 			return 0, err
 		}
 	}
 	for _, nd := range cr.nodes {
-		if err := enc.Encode(nd.ExportState()); err != nil {
+		if err := enc.Encode(nd.Snapshot()); err != nil {
 			return 0, err
 		}
 	}
 	if cr.gridPol != nil {
 		// The grid cursor (event position, defer/shave state, integrals)
-		// shapes future evolution: fold it into the tripwire so a restore
+		// shapes future evolution: fold it into the tripwire so a replay
 		// that forks it fails loudly.
-		if err := enc.Encode(cr.gridPol.ExportState()); err != nil {
+		if err := enc.Encode(cr.gridPol.Snapshot()); err != nil {
 			return 0, err
 		}
 	}
 	return h.Sum64(), nil
 }
 
-// exportCheckpoint captures the run's state as of resumeAt: every tick
-// before resumeAt has executed, none at or after it. Checkpoint export emits
-// no flight-recorder events — recording the act of checkpointing would make
-// the resumed digest diverge from an uninterrupted run's.
+// exportCheckpoint captures the run's verification block as of resumeAt:
+// every tick before resumeAt has executed, none at or after it, and the
+// kernel is current through the tick before resumeAt. Checkpoint export
+// emits no flight-recorder events — recording the act of checkpointing would
+// make the resumed digest diverge from an uninterrupted run's.
 func (cr *coordRun) exportCheckpoint(resumeAt time.Duration) (*coordCheckpoint, error) {
+	sh, err := cr.stateHash()
+	if err != nil {
+		return nil, err
+	}
 	ck := &coordCheckpoint{
 		Kind:        coordKind,
 		Fingerprint: specFingerprint(&cr.spec, cr.gen),
 		Seed:        cr.spec.Seed,
 		Now:         resumeAt,
+		StateHash:   sh,
 	}
-	sh, err := cr.stateHash()
-	if err != nil {
-		return nil, err
-	}
-	ck.StateHash = sh
 	if cr.spec.Obs != nil && cr.spec.Obs.Flight != nil {
 		ck.FlightDigest = cr.spec.Obs.Flight.Digest()
 		ck.FlightTotal = cr.spec.Obs.Flight.Total()
 	}
 	if cr.engine != nil {
-		ck.Strategy = strategyReplay
 		ck.EngineNow = cr.engine.Now()
 		ck.EngineSeq = cr.engine.Seq()
 		ck.EngineExecuted = cr.engine.Executed()
-		return ck, nil
 	}
-	ck.Strategy = strategyDirect
-	if cr.kern != nil {
-		ks := cr.kern.ExportState()
-		ck.Kernel = &ks
-	}
-	ck.Racks = make([]rack.State, 0, cr.n)
-	for _, r := range cr.racks {
-		ck.Racks = append(ck.Racks, r.ExportState())
-	}
-	ck.Nodes = make([]power.NodeState, 0, len(cr.nodes))
-	for _, nd := range cr.nodes {
-		ck.Nodes = append(ck.Nodes, nd.ExportState())
-	}
-	if cr.hier != nil {
-		hs, err := cr.hier.ExportState()
-		if err != nil {
-			return nil, err
-		}
-		ck.Hier = &hs
-	}
-	if cr.inj != nil {
-		is := cr.inj.ExportState()
-		ck.Injector = &is
-	}
-	if cr.gridPol != nil {
-		gs := cr.gridPol.ExportState()
-		ck.Grid = &gs
-	}
-	if cr.spec.Obs != nil && cr.spec.Obs.Flight != nil {
-		fs := cr.spec.Obs.Flight.ExportState()
-		ck.Flight = &fs
-	}
-	res := cr.res
-	ck.Samples = res.Samples
-	ck.PeakPower = res.PeakPower
-	ck.AvgDOD = res.AvgDOD
-	ck.DODs = res.DODs
-	ck.LastChargeDone = res.LastChargeDone
-	ck.Tripped = res.Tripped
-	ck.LastSample = cr.lastSample
-	ck.OutageFired = cr.outageFired
-	ck.RestoreFired = cr.restoreFired
 	return ck, nil
 }
 
@@ -240,9 +147,9 @@ func (cr *coordRun) writeCheckpoint(resumeAt time.Duration) error {
 	return nil
 }
 
-// restore loads a checkpoint into a freshly built run and positions the
-// cursor at its resume point, by direct state restore or verified replay
-// depending on how the run is built.
+// restore loads a checkpoint into a freshly built run, replays the run up
+// to the checkpoint's cursor, verifies the replay against the checkpoint,
+// and positions the run loop at the cursor.
 func (cr *coordRun) restore(path string) error {
 	var ck coordCheckpoint
 	// A latest generation that fails envelope verification falls back to the
@@ -252,7 +159,7 @@ func (cr *coordRun) restore(path string) error {
 		return err
 	}
 	if ck.Kind != coordKind {
-		return fmt.Errorf("scenario: %s is a %q checkpoint, not a coordinated-run checkpoint", path, ck.Kind)
+		return fmt.Errorf("scenario: %s is a %q checkpoint, want %q", path, ck.Kind, coordKind)
 	}
 	if ck.Seed != cr.spec.Seed {
 		return fmt.Errorf("scenario: checkpoint %s was written with seed %d, this run uses seed %d", path, ck.Seed, cr.spec.Seed)
@@ -260,148 +167,51 @@ func (cr *coordRun) restore(path string) error {
 	if fp := specFingerprint(&cr.spec, cr.gen); ck.Fingerprint != fp {
 		return fmt.Errorf("scenario: checkpoint %s describes a different experiment (fingerprint %016x, spec is %016x)", path, ck.Fingerprint, fp)
 	}
-	if ck.Now < cr.start || ck.Now > cr.horizon+cr.spec.Step {
-		return fmt.Errorf("scenario: checkpoint cursor %v outside run window [%v, %v]", ck.Now, cr.start, cr.horizon)
+	if ck.Now < cr.start || ck.Now > cr.horizon+cr.spec.Step || (ck.Now-cr.start)%cr.spec.Step != 0 {
+		return fmt.Errorf("scenario: checkpoint cursor %v is not a tick of the run window [%v, %v]", ck.Now, cr.start, cr.horizon)
 	}
-	want := strategyDirect
-	if cr.engine != nil {
-		want = strategyReplay
+	if err := cr.replay(ck.Now); err != nil {
+		return err
 	}
-	if ck.Strategy != want {
-		return fmt.Errorf("scenario: checkpoint %s uses strategy %q, this run needs %q", path, ck.Strategy, want)
-	}
-	if cr.engine == nil {
-		err = cr.restoreDirect(&ck)
-	} else {
-		err = cr.restoreReplay(&ck)
-	}
-	if err != nil {
+	if err := cr.verify(&ck); err != nil {
 		return err
 	}
 	cr.cursor = ck.Now
 	cr.nextCkpt = ck.Now + cr.spec.CheckpointEvery
-	// Force a demand-block refill on the first resumed tick.
-	cr.blockStart, cr.blockEnd = ck.Now, ck.Now-cr.spec.Step
-	if cr.kern != nil {
-		// The run state is in place; rebuild the kernel's wake schedule
-		// from it (and verify against the stored queue when present).
-		if err := cr.kern.RestoreState(&ck); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
-// restoreDirect copies the checkpoint's full state back into the freshly
-// built run, then recomputes the derived caches (outstanding set, trip scan
-// latches) and verifies the fleet hash round-tripped.
-func (cr *coordRun) restoreDirect(ck *coordCheckpoint) error {
-	if len(ck.Racks) != cr.n {
-		return fmt.Errorf("scenario: checkpoint has %d racks, run has %d", len(ck.Racks), cr.n)
-	}
-	if len(ck.Nodes) != len(cr.nodes) {
-		return fmt.Errorf("scenario: checkpoint has %d breaker nodes, run has %d", len(ck.Nodes), len(cr.nodes))
-	}
-	for i, st := range ck.Racks {
-		if err := cr.racks[i].RestoreState(st); err != nil {
-			return err
-		}
-	}
-	for i, st := range ck.Nodes {
-		if err := cr.nodes[i].RestoreState(st); err != nil {
-			return err
-		}
-	}
-	if ck.Hier != nil {
-		if cr.hier == nil {
-			return fmt.Errorf("scenario: checkpoint carries control-plane state but the run has no hierarchy")
-		}
-		if err := cr.hier.RestoreState(*ck.Hier); err != nil {
-			return err
-		}
-	}
-	if ck.Injector != nil {
-		if cr.inj == nil {
-			return fmt.Errorf("scenario: checkpoint carries fault-injector state but the run has no injector")
-		}
-		cr.inj.RestoreState(*ck.Injector)
-	}
-	if ck.Grid != nil {
-		if cr.gridPol == nil {
-			return fmt.Errorf("scenario: checkpoint carries grid-policy state but the run has no grid plane")
-		}
-		if err := cr.gridPol.RestoreState(*ck.Grid); err != nil {
-			return err
-		}
-	}
-	if ck.Flight != nil {
-		if cr.spec.Obs == nil || cr.spec.Obs.Flight == nil {
-			return fmt.Errorf("scenario: checkpoint carries a flight journal but the run has no recorder; attach a fresh Obs sink to resume")
-		}
-		cr.spec.Obs.Flight.RestoreState(*ck.Flight)
-	}
-
-	res := cr.res
-	res.Samples = append(res.Samples[:0], ck.Samples...)
-	res.PeakPower = ck.PeakPower
-	res.AvgDOD = ck.AvgDOD
-	res.DODs = append(res.DODs[:0], ck.DODs...)
-	res.LastChargeDone = ck.LastChargeDone
-	res.Tripped = append([]string(nil), ck.Tripped...)
-	cr.lastSample = ck.LastSample
-	cr.outageFired = ck.OutageFired
-	cr.restoreFired = ck.RestoreFired
-
-	// Derived caches rebuild from the restored state: the outstanding set
-	// from observable rack state, the trip-scan latches from the recorded
-	// trip list (not Tripped() — a breaker reset after recording must not
-	// be recorded again).
-	cr.numOutstanding = 0
-	for i, r := range cr.racks {
-		out := r.Charging() || r.PendingDOD() > 0
-		cr.outstanding[i] = out
-		if out {
-			cr.numOutstanding++
-		}
-	}
-	tripped := make(map[string]bool, len(ck.Tripped))
-	for _, name := range ck.Tripped {
-		tripped[name] = true
-	}
-	for i, nd := range cr.nodes {
-		cr.trippedSeen[i] = tripped[nd.Name()]
-	}
-
-	sh, err := cr.stateHash()
-	if err != nil {
-		return err
-	}
-	if sh != ck.StateHash {
-		return fmt.Errorf("scenario: restored fleet hash %016x does not match checkpoint %016x (restore bug or corrupt state)", sh, ck.StateHash)
-	}
-	return nil
-}
-
-// restoreReplay re-executes every tick from the run start up to (excluding)
-// the checkpoint cursor with the hooks suppressed, then verifies the
-// reconstruction against the checkpoint's engine counters, fleet hash, and
-// flight digest. Observability events are deliberately re-recorded during
-// replay: that is what rebuilds the digest chain the verification (and the
-// resumed run's continuing journal) depends on.
-func (cr *coordRun) restoreReplay(ck *coordCheckpoint) error {
+// replay re-executes every tick from the run start up to (excluding) the
+// cursor exactly as run does — the kernel decides which ticks to skip —
+// with StepHook, the run hooks and checkpoint writes suppressed, then
+// brings the kernel current through the tick before the cursor, as the
+// checkpoint's writer did. Observability events and counters are
+// deliberately re-recorded during replay: that rebuilds the digest chain
+// the verification (and the resumed run's continuing journal) depends on.
+func (cr *coordRun) replay(cursor time.Duration) error {
+	k := cr.kern
 	cr.replaying = true
-	for now := cr.start; now < ck.Now; now += cr.spec.Step {
-		if done := cr.tick(now); done {
-			cr.replaying = false
-			return fmt.Errorf("scenario: replay finished early at %v, before checkpoint cursor %v — the run is not deterministic or the checkpoint is stale", now, ck.Now)
+	defer func() { cr.replaying = false }()
+	for now := cr.start; now < cursor; now += cr.spec.Step {
+		if k.skip(now) {
+			continue
+		}
+		done := cr.tick(now)
+		k.executed(now)
+		if done {
+			return fmt.Errorf("scenario: replay finished early at %v, before checkpoint cursor %v — the run is not deterministic or the checkpoint is stale", now, cursor)
 		}
 	}
-	cr.replaying = false
+	k.current(cursor - cr.spec.Step)
+	return nil
+}
 
-	if cr.engine.Now() != ck.EngineNow || cr.engine.Seq() != ck.EngineSeq || cr.engine.Executed() != ck.EngineExecuted {
+// verify compares the replayed run with the checkpoint's verification
+// block: engine counters, fleet hash, then the flight digest and total.
+func (cr *coordRun) verify(ck *coordCheckpoint) error {
+	if e := cr.engine; e != nil && (e.Now() != ck.EngineNow || e.Seq() != ck.EngineSeq || e.Executed() != ck.EngineExecuted) {
 		return fmt.Errorf("scenario: replay diverged: engine at now=%v seq=%d executed=%d, checkpoint recorded now=%v seq=%d executed=%d",
-			cr.engine.Now(), cr.engine.Seq(), cr.engine.Executed(),
-			ck.EngineNow, ck.EngineSeq, ck.EngineExecuted)
+			e.Now(), e.Seq(), e.Executed(), ck.EngineNow, ck.EngineSeq, ck.EngineExecuted)
 	}
 	sh, err := cr.stateHash()
 	if err != nil {

@@ -146,10 +146,12 @@ type CoordSpec struct {
 	// CheckpointEvery is the virtual-time interval between checkpoint
 	// writes. Defaults to 5 minutes when Checkpoint is set.
 	CheckpointEvery time.Duration
-	// Resume, when non-empty, restores the run from this checkpoint file
-	// instead of starting fresh. The spec must describe the same experiment
-	// the checkpoint was written from (verified by fingerprint); to get a
-	// byte-identical flight digest the caller must supply a fresh Obs sink.
+	// Resume, when non-empty, continues the run from this checkpoint file
+	// instead of starting fresh: the run replays up to the checkpoint's
+	// cursor and verifies the replay against it. The spec must describe the
+	// same experiment the checkpoint was written from (verified by
+	// fingerprint); to get a byte-identical flight digest the caller must
+	// supply a fresh Obs sink.
 	Resume string
 	// Interrupt, when non-nil, is polled before every tick; returning true
 	// stops the run gracefully — a final checkpoint is written (when
@@ -340,10 +342,8 @@ func RunCoordinated(spec CoordSpec) (*CoordResult, error) {
 // plane built from the spec, the schedule, the tick loop's working buffers,
 // and the in-progress result. Splitting construction (newCoordRun), the tick
 // body (tick), and the result tail (finish) out of one function is what lets
-// a checkpoint restore drop into the middle of the run — either by restoring
-// state directly (engine-free runs) or by deterministically replaying ticks
-// up to the checkpoint (engine-backed runs, whose event closures cannot be
-// serialized).
+// a resume rebuild the run from its spec, replay the ticks up to the
+// checkpoint, and continue the loop from there.
 type coordRun struct {
 	spec CoordSpec
 	n    int
@@ -384,8 +384,8 @@ type coordRun struct {
 
 	// cursor is the virtual time of the next tick to execute; a restore
 	// moves it to the checkpoint's resume point. nextCkpt is the next
-	// checkpoint-write time; replaying suppresses StepHook, the run hooks,
-	// and checkpoint writes while a resume re-executes ticks it already ran.
+	// checkpoint-write time; replaying suppresses StepHook while a resume
+	// re-executes ticks it already ran.
 	cursor    time.Duration
 	nextCkpt  time.Duration
 	replaying bool

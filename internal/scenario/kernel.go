@@ -34,7 +34,6 @@ package scenario
 // obligations behind each bound.
 
 import (
-	"fmt"
 	"time"
 
 	"coordcharge/internal/dynamo"
@@ -90,29 +89,15 @@ const (
 	tickSlackW  = units.Power(8)
 )
 
-// KernelState is the event kernel's contribution to a coordinated-run
-// checkpoint: the wake queue as serializable views plus the tick accounting.
-// Everything else the kernel holds is a cache rebuilt from the restored run
-// state; the stored queue exists so the rebuild can be *verified* — a
-// restore that drops a state field rebuilds a different wake schedule and
-// must fail loudly instead of silently diverging.
-type KernelState struct {
-	Queue          []sim.EventView `json:"queue,omitempty"`
-	TicksExecuted  uint64          `json:"ticks_executed"`
-	TicksSkipped   uint64          `json:"ticks_skipped"`
-	EventsExecuted uint64          `json:"events_executed"`
-}
-
 // eventKernel is the live kernel state for one run.
 type eventKernel struct {
 	cr  *coordRun
 	gen *trace.Generator
 
 	// wakes is the kernel's private discrete-event queue: state-change
-	// deadlines (outage, restore, latch, done) live here
-	// so the loop's only per-skipped-tick event work is one NextAt peek.
-	// It is distinct from coordRun.engine, which stays nil for eligible
-	// specs (the checkpoint strategy must remain "direct").
+	// deadlines (outage, restore, latch, done) live here so the loop's only
+	// per-skipped-tick event work is one NextAt peek. It is distinct from
+	// coordRun.engine, which stays nil for eligible specs.
 	wakes *sim.Engine
 
 	// The demand envelope: aggAt is the exact clamped demand aggregate at
@@ -120,46 +105,45 @@ type eventKernel struct {
 	// that frame in rack index order — and aggRate bounds how fast the
 	// aggregate can move (W/s), so at any later tick of the same swing
 	// regime the aggregate lies within aggAt ± aggRate·(t−aggT).
-	aggAt   units.Power   //coordvet:transient envelope anchor: RestoreState re-anchors exactly at the resume tick
-	aggT    time.Duration //coordvet:transient envelope anchor: RestoreState re-anchors exactly at the resume tick
+	aggAt   units.Power
+	aggT    time.Duration
 	aggRate float64
-	aggBuf  []units.Power //coordvet:transient single-frame scratch for FrameAggregates
+	aggBuf  []units.Power // single-frame scratch for FrameAggregates
 
 	// rUB/rLB bound the fleet recharge power over the current skip span:
 	// rUB is an upper bound valid until the next charging-set mutation
 	// (recharge is nonincreasing inside a quiescent span), rLB a lower
 	// bound valid for maxWindow past matAt (battery.PowerLowerBound).
-	rUB, rLB units.Power //coordvet:transient cache: RestoreState recomputes both from restored pack state
+	rUB, rLB units.Power
 
 	// matAt is the tick time the battery fleet is materialized through:
 	// every pack's state equals the dense plane's after executing the tick
 	// at matAt. maxWindow caps how far bounds may age before the fleet is
 	// re-materialized.
-	matAt     time.Duration //coordvet:transient derived: the checkpoint cursor fixes it (materialize runs before every write)
+	matAt     time.Duration
 	maxWindow time.Duration
 
-	quiet       bool //coordvet:transient conservative: RestoreState clears it, forcing the first resumed tick dense; control plane proven inert since the last executed tick
-	force       bool //coordvet:transient per-tick latch, never live across a write: a wake fired, this tick must execute densely
-	prevSkipped bool //coordvet:transient conservative: RestoreState sets it, re-syncing controller clocks on the first resumed tick
+	quiet       bool // control plane proven inert since the last executed tick
+	force       bool // a wake fired: this tick must execute densely
+	prevSkipped bool // a tick was skipped since the last executed one
 
 	// postponedN mirrors the controllers' postponed-charge population for
 	// the restart bound; minGrantW is the smallest wattage any admission or
 	// restart can grant (below it both are proven no-ops).
-	postponedN int //coordvet:transient cache: recomputeQuiet re-mirrors it from restored controller state before any skip decision
+	postponedN int
 	minGrantW  units.Power
 
 	// lastCompletion is the grid tick of the latest charge completion
 	// discovered by materialize; doneT is the computed early-exit tick
 	// (-1 until the fleet drains).
-	lastCompletion time.Duration //coordvet:transient derived: RestoreState rebuilds it from the restored LastChargeDone, and the wake-queue verification proves the rebuild
-	doneT          time.Duration //coordvet:transient derived: noteDrained reconstructs the done schedule on restore, verified against the stored queue
+	lastCompletion time.Duration
+	doneT          time.Duration
 
 	controllers []*dynamo.Controller
 	guards      []*storm.Guard
 	stormQ      *storm.Queue
 
 	ticksExecuted, ticksSkipped uint64
-	eventsBase                  uint64 // wake executions carried over a resume
 
 	gEvents, gSkipped *obs.Gauge
 }
@@ -483,7 +467,7 @@ func (k *eventKernel) executed(now time.Duration) {
 		k.noteDrained()
 	}
 	if k.gEvents != nil {
-		k.gEvents.Set(float64(k.eventsBase + k.wakes.Executed()))
+		k.gEvents.Set(float64(k.wakes.Executed()))
 		k.gSkipped.Set(float64(k.ticksSkipped))
 	}
 }
@@ -579,69 +563,7 @@ func (k *eventKernel) report() {
 	res.KernelTicksExecuted = k.ticksExecuted
 	res.KernelTicksSkipped = k.ticksSkipped
 	if k.gEvents != nil {
-		k.gEvents.Set(float64(k.eventsBase + k.wakes.Executed()))
+		k.gEvents.Set(float64(k.wakes.Executed()))
 		k.gSkipped.Set(float64(k.ticksSkipped))
 	}
-}
-
-// ExportState captures the kernel's checkpoint contribution.
-func (k *eventKernel) ExportState() KernelState {
-	return KernelState{
-		Queue:          k.wakes.Snapshot(),
-		TicksExecuted:  k.ticksExecuted,
-		TicksSkipped:   k.ticksSkipped,
-		EventsExecuted: k.eventsBase + k.wakes.Executed(),
-	}
-}
-
-// RestoreState re-derives the kernel's caches from the already-restored run
-// state, rebuilds the wake queue, and — when the checkpoint was written by
-// an event-kernel run — verifies the rebuilt schedule against the stored
-// queue views. A restore that dropped a state field (an unfired outage flag,
-// a lost LastChargeDone) rebuilds a different schedule and fails here
-// instead of silently forking the timeline. Dense-written checkpoints carry
-// no kernel block; they rebuild without verification.
-func (k *eventKernel) RestoreState(ck *coordCheckpoint) error {
-	cr := k.cr
-	// Construction scheduled the fresh-run wakes; restart the queue from
-	// the restored state instead. No "start" wake: quiet=false already
-	// forces the first resumed tick dense.
-	k.wakes = sim.NewEngine()
-	k.matAt = ck.Now - cr.spec.Step
-	k.quiet = false // the first resumed tick executes densely
-	k.prevSkipped = true
-	k.force = false
-	k.doneT = -1
-	k.lastCompletion = 0
-	if cr.res.LastChargeDone != 0 {
-		k.lastCompletion = cr.loseAt + cr.res.LastChargeDone
-	}
-	if !cr.outageFired {
-		k.wakes.ScheduleAt(k.ceilTick(cr.loseAt), "outage", k.onForce)
-	}
-	if !cr.restoreFired {
-		k.wakes.ScheduleAt(k.ceilTick(cr.restoreAt), "restore", k.onForce)
-	}
-	if cr.restoreFired && cr.numOutstanding == 0 {
-		k.noteDrained()
-	}
-	k.refreshRechargeBounds()
-	k.refreshAgg(ck.Now)
-	if ck.Kernel == nil {
-		return nil
-	}
-	k.ticksExecuted = ck.Kernel.TicksExecuted
-	k.ticksSkipped = ck.Kernel.TicksSkipped
-	k.eventsBase = ck.Kernel.EventsExecuted
-	got, want := k.wakes.Snapshot(), ck.Kernel.Queue
-	if len(got) != len(want) {
-		return fmt.Errorf("scenario: kernel wake queue rebuilt with %d wakes, checkpoint stored %d (a restore dropped state the schedule derives from)", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			return fmt.Errorf("scenario: kernel wake %d rebuilt as %s@%v, checkpoint stored %s@%v (a restore dropped state the schedule derives from)",
-				i, got[i].Label, got[i].At, want[i].Label, want[i].At)
-		}
-	}
-	return nil
 }

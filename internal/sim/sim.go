@@ -98,10 +98,9 @@ func (e *Engine) NextAt() (time.Duration, bool) {
 	return e.queue[0].at, true
 }
 
-// EventView is the serializable projection of a pending event: its deadline
-// and debug label. Handler closures cannot be serialized, so a checkpoint
-// stores views; the resuming run rebuilds the real queue from its own spec
-// and verifies the rebuilt deadlines against the stored views.
+// EventView is the inspectable projection of a pending event: its deadline
+// and debug label. Handler closures cannot be compared or printed, so tests
+// check a queue's schedule through views.
 type EventView struct {
 	At    time.Duration `json:"at"`
 	Label string        `json:"label"`

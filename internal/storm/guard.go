@@ -70,8 +70,8 @@ type Guard struct {
 	racks    []*rack.Rack
 	ccfg     core.Config
 	cfg      GuardConfig
-	queue    *Queue                          // optional: paused charges handed to storm admission //coordvet:transient wiring: AttachQueue re-attaches before resume
-	capacity func(time.Duration) units.Power // optional: external feed capacity (interconnection cap) //coordvet:transient wiring: SetCapacity re-attaches the feed before resume
+	queue    *Queue                          // optional: paused charges handed to storm admission
+	capacity func(time.Duration) units.Power // optional: external feed capacity (interconnection cap)
 
 	over       bool
 	overSince  time.Duration
@@ -85,9 +85,9 @@ type Guard struct {
 	metrics GuardMetrics
 
 	// Observability (nil when detached).
-	sink                                         *obs.Sink    //coordvet:transient telemetry: re-attached by SetObs, not simulation state
-	cFires, cDemoted, cPaused, cCapped, cResumed *obs.Counter //coordvet:transient telemetry: re-attached by SetObs, not simulation state
-	gProximity                                   *obs.Gauge   //coordvet:transient telemetry: re-attached by SetObs, not simulation state
+	sink                                         *obs.Sink
+	cFires, cDemoted, cPaused, cCapped, cResumed *obs.Counter
+	gProximity                                   *obs.Gauge
 }
 
 // NewGuard builds a guard for node, shedding among the given racks (the

@@ -124,14 +124,14 @@ type waiter struct {
 type Queue struct {
 	cfg     Config
 	waiting []waiter
-	member  map[string]bool //coordvet:transient derived: RestoreState rebuilds it from waiting
+	member  map[string]bool
 	metrics Metrics
 
 	// Observability (nil when detached).
-	sink                                               *obs.Sink      //coordvet:transient telemetry: re-attached by SetObs, not simulation state
-	cStorms, cEnqueued, cAdmitted, cWaves, cPromotions *obs.Counter   //coordvet:transient telemetry: re-attached by SetObs, not simulation state
-	gDepth                                             *obs.Gauge     //coordvet:transient telemetry: re-attached by SetObs, not simulation state
-	hWait                                              *obs.Histogram //coordvet:transient telemetry: re-attached by SetObs, not simulation state
+	sink                                               *obs.Sink
+	cStorms, cEnqueued, cAdmitted, cWaves, cPromotions *obs.Counter
+	gDepth                                             *obs.Gauge
+	hWait                                              *obs.Histogram
 }
 
 // NewQueue returns an empty admission queue.
