@@ -163,13 +163,26 @@ func printCoordSummary(spec scenario.CoordSpec, res *scenario.CoordResult) {
 	if len(res.Tripped) > 0 {
 		fmt.Printf("  BREAKERS TRIPPED:         %v\n", res.Tripped)
 	}
-	if n := res.KernelTicksExecuted + res.KernelTicksSkipped; n > 0 {
-		fmt.Printf("  event kernel:             %d/%d ticks executed densely (%d skipped)\n",
-			res.KernelTicksExecuted, n, res.KernelTicksSkipped)
-	}
+	printKernelLine(res)
 	printStormSummary(spec, res)
 	printGridSummary(spec, res)
 	printFaultSummary(spec, res)
+}
+
+// printKernelLine reports which tick loop ran: the event kernel with its
+// tick accounting, or the dense loop with the feature that forced it (none
+// when the run asked for dense).
+func printKernelLine(res *scenario.CoordResult) {
+	if n := res.KernelTicksExecuted + res.KernelTicksSkipped; n > 0 {
+		fmt.Printf("  kernel:                   event, %d/%d ticks executed densely (%d skipped)\n",
+			res.KernelTicksExecuted, n, res.KernelTicksSkipped)
+		return
+	}
+	reason := res.KernelFallback
+	if reason == "" {
+		reason = "requested"
+	}
+	fmt.Printf("  kernel:                   dense (%s)\n", reason)
 }
 
 // printStormSummary reports the grid event's battery-side cost and what the

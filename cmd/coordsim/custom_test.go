@@ -141,3 +141,65 @@ func summaryJSON(t *testing.T, q *svc.RunRequest) []byte {
 	}
 	return buf.Bytes()
 }
+
+// TestKernelLine: every -run summary names the tick loop that ran — the
+// event kernel with its tick accounting, or the dense loop with the reason.
+func TestKernelLine(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		args   []string
+		kernel string
+		want   string
+	}{
+		{"default", nil, "", "  kernel:                   event, "},
+		{"requested dense", nil, scenario.KernelDense, "  kernel:                   dense (requested)\n"},
+		{"grid forces dense", []string{"-storm", "90s", "-grid", "capshrink=10m+20m(0.3)"}, scenario.KernelEvent,
+			"  kernel:                   dense (grid plane)\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := svc.PaperRun()
+			fs := flag.NewFlagSet("coordsim", flag.ContinueOnError)
+			fs.SetOutput(io.Discard)
+			q.Flags(fs)
+			if err := fs.Parse(append([]string{"-p1", "3", "-p2", "3", "-p3", "3", "-limit", "0.08"}, tc.args...)); err != nil {
+				t.Fatal(err)
+			}
+			spec, err := runSpec(&q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			spec.Kernel = tc.kernel
+			res, err := scenario.RunCoordinated(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out := captureStdout(t, func() { printCoordSummary(spec, res) })
+			if !strings.Contains(out, tc.want) {
+				t.Errorf("summary lacks %q:\n%s", tc.want, out)
+			}
+			if strings.Count(out, "  kernel:") != 1 {
+				t.Errorf("want exactly one kernel line:\n%s", out)
+			}
+		})
+	}
+}
+
+// captureStdout returns what f writes to os.Stdout.
+func captureStdout(t *testing.T, f func()) string {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	stdout := os.Stdout
+	os.Stdout = w
+	defer func() { os.Stdout = stdout }()
+	done := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		done <- b
+	}()
+	f()
+	w.Close()
+	return string(<-done)
+}

@@ -60,7 +60,7 @@ func main() {
 	gridPriceCSV := flag.String("grid-price-csv", "", "custom run: energy-price series CSV ($/MWh) attached to -grid")
 	gridCarbonCSV := flag.String("grid-carbon-csv", "", "custom run: carbon-intensity series CSV (gCO2/kWh) attached to -grid")
 	gridFig := flag.String("grid-fig", "", "grid experiment to regenerate: shrink (storm recovery under a shrinking cap) or shave (peak shaving, the BBU fleet as a virtual power plant)")
-	kernel := flag.String("kernel", scenario.KernelDense, "custom run: tick-loop kernel — dense (every tick) or event (analytic advance between state-change events; bit-identical results)")
+	kernel := flag.String("kernel", "", "tick-loop kernel of a -run experiment: event (the default; analytic advance between state-change events, bit-identical results) or dense (every tick)")
 	serve := flag.String("serve", "", "custom run: serve the observability surface (/metrics, /healthz, /debug/flight, pprof) on this address while the run executes, e.g. :8080")
 	pace := flag.Float64("pace", 0, "custom run: simulated seconds per wall-clock second (0 = free-running); requires -serve")
 	// Checkpoint/resume flags (custom and endurance runs).

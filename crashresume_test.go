@@ -119,11 +119,14 @@ func runKilled(t *testing.T, spec scenario.CoordSpec, kills []time.Duration, ker
 	}
 }
 
+// checkChaosSeed runs the harness on the dense loop; TestKernelCrashResume
+// is its event-kernel arm.
 func checkChaosSeed(t *testing.T, seed int64, distributed bool) {
 	t.Helper()
 	spec := stormSpec(seed)
 	armStorm(&spec)
 	spec.Distributed = distributed
+	spec.Kernel = scenario.KernelDense
 
 	wantSummary, wantDigest := runUninterrupted(t, spec)
 	gotSummary, gotDigest := runWithKills(t, spec, chaosKills(seed))
@@ -240,24 +243,38 @@ func TestCrashResumeGracefulInterrupt(t *testing.T) {
 
 // TestCrashResumeObsCounters: a resume replays the ticks before its cursor
 // into the fresh sink, so after kill-and-resume the final sink's counters
-// equal an uninterrupted run's on both planes.
+// equal an uninterrupted run's on both planes, and on both kernels of the
+// sync plane (the distributed plane always runs dense).
 func TestCrashResumeObsCounters(t *testing.T) {
+	check := func(t *testing.T, spec scenario.CoordSpec, seed int64) {
+		t.Helper()
+		ref := spec
+		ref.Obs = obs.NewSink(0)
+		if _, err := scenario.RunCoordinated(ref); err != nil {
+			t.Fatal(err)
+		}
+		_, sink := runKilled(t, spec, chaosKills(seed), nil)
+		got, want := sink.Reg.Snapshot().Counters, ref.Obs.Reg.Snapshot().Counters
+		if !maps.Equal(got, want) {
+			t.Errorf("counters diverged after kill-and-resume:\n  resumed       %v\n  uninterrupted %v", got, want)
+		}
+	}
 	for _, plane := range []string{"sync", "distributed"} {
 		for seed := int64(1); seed <= 2; seed++ {
 			t.Run(fmt.Sprintf("%s/seed%d", plane, seed), func(t *testing.T) {
 				t.Parallel()
 				spec := stormSpec(seed)
 				armStorm(&spec)
-				spec.Distributed = plane == "distributed"
-				ref := spec
-				ref.Obs = obs.NewSink(0)
-				if _, err := scenario.RunCoordinated(ref); err != nil {
-					t.Fatal(err)
+				if plane == "distributed" {
+					spec.Distributed = true
+					check(t, spec, seed)
+					return
 				}
-				_, sink := runKilled(t, spec, chaosKills(seed), nil)
-				got, want := sink.Reg.Snapshot().Counters, ref.Obs.Reg.Snapshot().Counters
-				if !maps.Equal(got, want) {
-					t.Errorf("counters diverged after kill-and-resume:\n  resumed       %v\n  uninterrupted %v", got, want)
+				for _, kernel := range []string{scenario.KernelDense, scenario.KernelEvent} {
+					t.Run(kernel, func(t *testing.T) {
+						spec.Kernel = kernel
+						check(t, spec, seed)
+					})
 				}
 			})
 		}
@@ -299,7 +316,7 @@ func TestResumeRejectsTamperedCheckpoint(t *testing.T) {
 		edit    func(*scenario.CoordSpec)
 		tampers []tamper
 	}{
-		{"sync-storm", func(*scenario.CoordSpec) {}, tampers},
+		{"sync-storm", func(s *scenario.CoordSpec) { s.Kernel = scenario.KernelDense }, tampers},
 		{"sync-latency", func(s *scenario.CoordSpec) { s.CommandLatency = 20 * time.Second },
 			append(slices.Clone(tampers), tamper{"engine_seq", bump, "replay diverged: engine at"})},
 		{"event-storm", func(s *scenario.CoordSpec) { s.Kernel = scenario.KernelEvent }, tampers},

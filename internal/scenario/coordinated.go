@@ -50,12 +50,13 @@ type CoordSpec struct {
 	AvgDOD units.Fraction
 	// Step is the simulation tick (default 3 s, the trace granularity).
 	Step time.Duration
-	// Kernel selects the tick-loop implementation: KernelDense (the default,
-	// also "") runs every tick; KernelEvent advances analytically between
-	// state-change events, bit-identical to dense. Specs the event kernel
-	// cannot prove bounds for silently run dense (see kernelEligible). The
-	// choice never affects results, so it is excluded from the checkpoint
-	// fingerprint — either kernel resumes the other's checkpoints.
+	// Kernel selects the tick-loop implementation: KernelEvent (the default,
+	// also "") advances analytically between state-change events,
+	// bit-identical to dense; KernelDense runs every tick. A spec the event
+	// kernel cannot prove bounds for runs dense, and the result's
+	// KernelFallback names why. The choice never affects results, so it is
+	// excluded from the checkpoint fingerprint — either kernel resumes the
+	// other's checkpoints.
 	Kernel string
 	// PreRoll is how long before the transition the run starts (default 2 min).
 	PreRoll time.Duration
@@ -196,7 +197,9 @@ func (s *CoordSpec) fillDefaults() error {
 		return fmt.Errorf("scenario: non-positive step")
 	}
 	switch s.Kernel {
-	case "", KernelDense, KernelEvent:
+	case "":
+		s.Kernel = KernelEvent
+	case KernelDense, KernelEvent:
 	default:
 		return fmt.Errorf("scenario: unknown kernel %q (want %q or %q)", s.Kernel, KernelDense, KernelEvent)
 	}
@@ -309,9 +312,15 @@ type CoordResult struct {
 	Interrupted bool
 	// KernelTicksExecuted and KernelTicksSkipped report the event kernel's
 	// tick accounting: how many grid ticks ran the full dense body and how
-	// many were skipped under the analytic bounds. Both are zero on the
-	// dense kernel (and on event-kernel specs that fell back to dense).
+	// many were skipped under the analytic bounds. Both are zero when the run
+	// took the dense loop, so a nonzero sum is how to tell the event kernel
+	// ran.
 	KernelTicksExecuted, KernelTicksSkipped uint64
+	// KernelFallback names the spec feature that sent an event-kernel run to
+	// the dense loop (e.g. "fault injection", "grid plane"). It is empty when
+	// the event kernel ran and when the spec asked for KernelDense. Summary
+	// leaves it out: the kernel never changes a result.
+	KernelFallback string
 }
 
 // ErrAborted is returned by RunCoordinated when Spec.HardStop fires: the run
@@ -391,7 +400,8 @@ type coordRun struct {
 	replaying bool
 
 	// kern is the event-driven kernel, non-nil only when the spec selects
-	// it and is eligible; run() asks it whether each tick may be skipped.
+	// it and kernelFallback finds no reason to refuse; run() asks it whether
+	// each tick may be skipped.
 	kern *eventKernel
 }
 
@@ -671,11 +681,9 @@ func newCoordRunAt(spec CoordSpec, place func(*coordRun) (scope *power.Node, at 
 	cr.lastSample = time.Duration(-1 << 62)
 	cr.cursor = start
 	cr.nextCkpt = start + spec.CheckpointEvery
-	if spec.Kernel == KernelEvent && kernelEligible(&spec) {
-		// The kernel's demand envelope needs the synthetic generator's
-		// analytic rate bound; any other trace source runs dense.
-		if g, ok := gen.(*trace.Generator); ok {
-			cr.kern = newEventKernel(cr, g)
+	if spec.Kernel == KernelEvent {
+		if res.KernelFallback = kernelFallback(&spec, gen); res.KernelFallback == "" {
+			cr.kern = newEventKernel(cr, gen.(*trace.Generator))
 		}
 	}
 	return cr, nil

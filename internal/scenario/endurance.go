@@ -177,14 +177,14 @@ func enduranceFingerprint(spec *EnduranceSpec, gen trace.Source) uint64 {
 func hours(h float64) time.Duration { return time.Duration(h * float64(time.Hour)) }
 
 // transientSpec is the coordinated run every transient of the endurance run
-// is: this fleet and control plane on the event kernel, starting one tick
-// before the loss of input and ending by coordRun's own rule within 6 hours
-// of the restore.
+// is: this fleet and control plane on the default (event) kernel, starting
+// one tick before the loss of input and ending by coordRun's own rule within
+// 6 hours of the restore.
 func (s *EnduranceSpec) transientSpec() CoordSpec {
 	return CoordSpec{
 		NumP1: s.NumP1, NumP2: s.NumP2, NumP3: s.NumP3, Seed: s.Seed,
 		MSBLimit: s.MSBLimit, Mode: s.Mode, LocalPolicy: s.LocalPolicy,
-		Step: s.Step, Kernel: KernelEvent, PreRoll: s.Step,
+		Step: s.Step, PreRoll: s.Step,
 		MaxChargeDuration: 6 * time.Hour,
 	}
 }

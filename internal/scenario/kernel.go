@@ -12,8 +12,8 @@ package scenario
 // A tick executes densely (the verbatim coordRun.tick) when any of:
 //
 //   - a scheduled wake is due: the run start, the outage and restore edges,
-//     the LastChargeDone latch tick, and the done tick all come from the
-//     internal sim.Engine wake queue;
+//     the LastChargeDone latch tick, the done tick and the last tick of the
+//     window all come from the internal sim.Engine wake queue;
 //   - the control plane is not quiescent: a controller mutated state last
 //     tick, holds unconfirmed overrides, or is down; a guard is mid-action;
 //     a breaker is tripped or overdrawn; a rack is capped;
@@ -47,33 +47,50 @@ import (
 
 // Kernel selectors for CoordSpec.Kernel.
 const (
-	// KernelDense is the reference per-tick loop (the default).
+	// KernelDense is the reference per-tick loop: every tick runs the full
+	// body. The parity suites select it explicitly as the reference.
 	KernelDense = "dense"
-	// KernelEvent is the event-driven kernel. Specs the kernel cannot prove
-	// bounds for (fault injection, the grid plane, the distributed plane,
-	// command latency, watchdogs, stale telemetry, per-tick hooks) silently
-	// fall back to the dense loop, so the switch is always safe to set.
+	// KernelEvent is the event-driven kernel, and the default (an empty
+	// Kernel means it). A spec the kernel cannot prove bounds for runs on the
+	// dense loop, and CoordResult.KernelFallback names the feature that
+	// forced it (see kernelFallback).
 	KernelEvent = "event"
 )
 
-// kernelEligible reports whether the event kernel's quiescence and wake
-// bounds are sound for this spec. Each excluded feature injects per-tick
-// state changes the bounds cannot see: faults flip controllers and telemetry
-// at arbitrary ticks; the grid plane varies the effective limit and defers
-// admission on price signals; command latency and the distributed plane
-// queue work in the run's own engine; watchdogs and heartbeats age per tick;
-// StaleAfter makes telemetry freshness a function of wall-clock distance;
-// StepHook observes every tick by contract; un-relaxed lower levels would
-// need a headroom bound per breaker, not just at the MSB.
-func kernelEligible(spec *CoordSpec) bool {
-	return spec.CommandLatency == 0 &&
-		!spec.Distributed &&
-		!spec.Faults.Enabled() &&
-		spec.Grid == nil &&
-		spec.WatchdogTTL == 0 &&
-		spec.StaleAfter <= 0 &&
-		spec.StepHook == nil &&
-		*spec.RelaxLowerLevels
+// kernelFallback returns the first feature of the spec that makes the event
+// kernel's quiescence and wake bounds unsound, or "" when the kernel may
+// run. Each feature injects per-tick state changes the bounds cannot see:
+// faults flip controllers and telemetry at arbitrary ticks; the grid plane
+// varies the effective limit and defers admission on price signals; the
+// distributed plane and command latency queue work in the run's own engine;
+// watchdogs and heartbeats age per tick; StaleAfter makes telemetry
+// freshness a function of wall-clock distance; StepHook observes every tick
+// by contract; un-relaxed lower levels would need a headroom bound per
+// breaker, not just at the MSB; and the demand envelope needs the synthetic
+// generator's analytic rate bound, which an external trace does not have.
+func kernelFallback(spec *CoordSpec, src trace.Source) string {
+	switch {
+	case spec.Faults.Enabled():
+		return "fault injection"
+	case spec.Grid != nil:
+		return "grid plane"
+	case spec.Distributed:
+		return "distributed plane"
+	case spec.CommandLatency != 0:
+		return "command latency"
+	case spec.WatchdogTTL != 0:
+		return "watchdog"
+	case spec.StaleAfter > 0:
+		return "stale telemetry"
+	case spec.StepHook != nil:
+		return "step hook"
+	case !*spec.RelaxLowerLevels:
+		return "lower levels not relaxed"
+	}
+	if _, ok := src.(*trace.Generator); !ok {
+		return "external trace"
+	}
+	return ""
 }
 
 // Bound paddings, in watts. boundSlackW pads the cached recharge bounds
@@ -95,9 +112,9 @@ type eventKernel struct {
 	gen *trace.Generator
 
 	// wakes is the kernel's private discrete-event queue: state-change
-	// deadlines (outage, restore, latch, done) live here so the loop's only
-	// per-skipped-tick event work is one NextAt peek. It is distinct from
-	// coordRun.engine, which stays nil for eligible specs.
+	// deadlines (outage, restore, latch, done, horizon) live here so the
+	// loop's only per-skipped-tick event work is one NextAt peek. It is
+	// distinct from coordRun.engine, which stays nil for eligible specs.
 	wakes *sim.Engine
 
 	// The demand envelope: aggAt is the exact clamped demand aggregate at
@@ -149,9 +166,8 @@ type eventKernel struct {
 }
 
 // newEventKernel wires the kernel to a freshly built run and schedules the
-// static wakes. Call only when kernelEligible holds (the hierarchy exists
-// and coordRun.engine is nil) and the demand source is the synthetic
-// generator (the envelope needs its analytic rate bound).
+// static wakes. Call only when kernelFallback is empty: the hierarchy exists,
+// coordRun.engine is nil, and the demand source is the synthetic generator.
 func newEventKernel(cr *coordRun, gen *trace.Generator) *eventKernel {
 	k := &eventKernel{
 		cr:          cr,
@@ -176,6 +192,10 @@ func newEventKernel(cr *coordRun, gen *trace.Generator) *eventKernel {
 	k.wakes.ScheduleAt(cr.start, "start", k.onForce)
 	k.wakes.ScheduleAt(k.ceilTick(cr.loseAt), "outage", k.onForce)
 	k.wakes.ScheduleAt(k.ceilTick(cr.restoreAt), "restore", k.onForce)
+	// The last tick of the window executes, so a run that reaches the
+	// horizon with charges still running leaves its fleet gauges where the
+	// dense loop leaves them.
+	k.wakes.ScheduleAt(cr.start+(cr.horizon-cr.start)/cr.spec.Step*cr.spec.Step, "horizon", k.onForce)
 	k.refreshRechargeBounds()
 	k.refreshAgg(cr.start)
 	return k
@@ -363,7 +383,8 @@ func (k *eventKernel) boundsTrip(now time.Duration) bool {
 
 func (k *eventKernel) boundsTripAt(limit, dLo, dHi units.Power) bool {
 	// Headroom: protect/guard/Observe act only when draw approaches the MSB
-	// limit (lower levels are relaxed to 100 MW by eligibility).
+	// limit (lower levels are relaxed to 100 MW, or kernelFallback would
+	// have refused the spec).
 	if dHi+k.rUB > limit-tickSlackW {
 		return true
 	}

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"coordcharge/internal/dynamo"
+	"coordcharge/internal/faults"
+	"coordcharge/internal/grid"
 	"coordcharge/internal/obs"
 	"coordcharge/internal/power"
 	"coordcharge/internal/rack"
@@ -182,5 +184,63 @@ func TestKernelInterruptResume(t *testing.T) {
 		if got.Summary() != want.Summary() {
 			t.Errorf("interrupt after %d polls: summary diverged:\n--- resumed ---\n%s--- uninterrupted ---\n%s", polls, got.Summary(), want.Summary())
 		}
+	}
+}
+
+// TestKernelFallbackNamesFeature: a run left at the default kernel takes
+// the event kernel unless a spec feature forces the dense loop, and then
+// KernelFallback names the first such feature. A run that asks for dense
+// has no fallback to report.
+func TestKernelFallbackNamesFeature(t *testing.T) {
+	gen, err := trace.NewGenerator(trace.Spec{NumRacks: 9, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	external, err := trace.Materialize(gen, 0, time.Hour, 3*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gridSpec, err := grid.ParseSpec("capshrink=10m+20m(0.3)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	notRelaxed := false
+	for _, tc := range []struct {
+		name string
+		edit func(*CoordSpec)
+		want string
+	}{
+		{"eligible", func(*CoordSpec) {}, ""},
+		{"requested dense", func(s *CoordSpec) { s.Kernel = KernelDense }, ""},
+		{"faults", func(s *CoordSpec) { s.Faults = faults.Default() }, "fault injection"},
+		{"faults before grid", func(s *CoordSpec) { s.Faults = faults.Default(); s.Grid = gridSpec }, "fault injection"},
+		{"grid", func(s *CoordSpec) { s.Grid = gridSpec }, "grid plane"},
+		{"distributed", func(s *CoordSpec) { s.Distributed = true }, "distributed plane"},
+		{"latency", func(s *CoordSpec) { s.CommandLatency = 20 * time.Second }, "command latency"},
+		{"watchdog", func(s *CoordSpec) { s.WatchdogTTL = 30 * time.Second }, "watchdog"},
+		{"stale", func(s *CoordSpec) { s.StaleAfter = 10 * time.Second }, "stale telemetry"},
+		{"hook", func(s *CoordSpec) { s.StepHook = func(time.Duration) {} }, "step hook"},
+		{"lower levels", func(s *CoordSpec) { s.RelaxLowerLevels = &notRelaxed }, "lower levels not relaxed"},
+		{"external trace", func(s *CoordSpec) { s.Trace = external }, "external trace"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := CoordSpec{
+				NumP1: 3, NumP2: 3, NumP3: 3, Seed: 1,
+				MSBLimit: 70 * units.Kilowatt, Mode: dynamo.ModePriorityAware,
+				AvgDOD: 0.5, MaxChargeDuration: time.Hour,
+			}
+			tc.edit(&spec)
+			res, err := RunCoordinated(spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.KernelFallback != tc.want {
+				t.Errorf("KernelFallback = %q, want %q", res.KernelFallback, tc.want)
+			}
+			ran := res.KernelTicksExecuted > 0
+			if wantRan := tc.want == "" && spec.Kernel == ""; ran != wantRan {
+				t.Errorf("event kernel ran = %t (executed %d), want %t", ran, res.KernelTicksExecuted, wantRan)
+			}
+		})
 	}
 }
