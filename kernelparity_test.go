@@ -216,12 +216,13 @@ func TestKernelParityGenerated(t *testing.T) {
 		n = 40
 	}
 	r := rng.New(20201017)
-	var skipping atomic.Int64
+	var ran, skipping atomic.Int64
 	t.Run("cases", func(t *testing.T) {
 		for i := 0; i < n; i++ {
 			spec := genKernelSpec(r)
 			t.Run(fmt.Sprintf("case%03d", i), func(t *testing.T) {
 				t.Parallel()
+				ran.Add(1)
 				if checkKernelParity(t, spec, "").KernelTicksSkipped > 0 {
 					skipping.Add(1)
 				}
@@ -230,10 +231,11 @@ func TestKernelParityGenerated(t *testing.T) {
 	})
 	// In the full draw all but a handful of cases skip; fewer than three in
 	// four means the generator has drifted into specs that never go quiet.
-	got := skipping.Load()
-	t.Logf("%d of %d cases skipped ticks", got, n)
-	if got*4 < int64(n)*3 {
-		t.Errorf("only %d of %d cases skipped ticks", got, n)
+	// A -run filter that picks out single cases is not judged.
+	got, of := skipping.Load(), ran.Load()
+	t.Logf("%d of %d cases skipped ticks", got, of)
+	if of == int64(n) && got*4 < of*3 {
+		t.Errorf("only %d of %d cases skipped ticks", got, of)
 	}
 }
 
