@@ -5,10 +5,14 @@ BENCH_OUT ?= BENCH_latest.json
 # The committed baseline the regression gate compares against; refresh with
 # `make bench-json BENCH_OUT=BENCH_PR<N>.json` when a PR changes performance
 # on purpose.
-BENCH_BASELINE ?= BENCH_PR19.json
+BENCH_BASELINE ?= BENCH_PR20.json
 BENCH_TOLERANCE ?= 25
 # Benchmarks cheaper than this (ns/op in the baseline) are reported but not
 # gated: at one measured iteration their timing is scheduler noise.
+# Every benchmark runs BENCH_COUNT one-iteration passes; benchjson folds them
+# to their medians, so one noisy pass neither sets the baseline nor fails the
+# gate.
+BENCH_COUNT ?= 3
 BENCH_FLOOR ?= 10000000
 # Absolute floor on the event kernel: every X/event benchmark must run at
 # least this many times faster than its X/dense sibling. Unlike the relative
@@ -63,16 +67,17 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# One pass over every benchmark, archived as machine-readable JSON with
-# B/op and allocs/op beside ns/op.
+# BENCH_COUNT passes over every benchmark, archived at their medians as
+# machine-readable JSON with B/op and allocs/op beside ns/op.
 # Override the destination per snapshot: make bench-json BENCH_OUT=BENCH_PR7.json
 bench-json:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./... | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
+	$(GO) test -bench=. -benchtime=1x -count=$(BENCH_COUNT) -benchmem -run='^$$' ./... | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
-# Regression gate: one benchmark pass diffed against the committed baseline.
-# Fails if any benchmark is more than BENCH_TOLERANCE percent slower.
+# Regression gate: the median of BENCH_COUNT benchmark passes diffed against
+# the committed baseline. Fails if any benchmark is more than
+# BENCH_TOLERANCE percent slower.
 bench-compare:
-	$(GO) test -bench=. -benchtime=1x -benchmem -run='^$$' ./... | \
+	$(GO) test -bench=. -benchtime=1x -count=$(BENCH_COUNT) -benchmem -run='^$$' ./... | \
 		$(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE) \
 			-tolerance $(BENCH_TOLERANCE) -floor $(BENCH_FLOOR) \
 			-min-speedup $(BENCH_MIN_SPEEDUP)

@@ -15,6 +15,11 @@
 // document's context fields and are otherwise ignored, so the tool can be fed
 // the raw output of `go test -bench=. ./...` across many packages.
 //
+// Repeated lines of one benchmark (`go test -count N`) fold into one result
+// holding each metric's median over the runs, with "runs" recording N; both
+// the converter and the -compare gate read the folded medians, so one slow
+// or fast pass neither fails the gate nor sets the baseline.
+//
 // With -compare old.json the tool becomes a regression gate instead of a
 // converter: fresh `go test -bench` text on stdin is parsed and its ns/op
 // diffed against the archived document. Any benchmark slower than the
@@ -44,11 +49,14 @@ import (
 
 // Result is one parsed benchmark line.
 type Result struct {
-	Name       string             `json:"name"`
-	Pkg        string             `json:"pkg,omitempty"`
-	Procs      int                `json:"procs,omitempty"`
-	Iterations int64              `json:"iterations"`
-	Metrics    map[string]float64 `json:"metrics"`
+	Name       string `json:"name"`
+	Pkg        string `json:"pkg,omitempty"`
+	Procs      int    `json:"procs,omitempty"`
+	Iterations int64  `json:"iterations"`
+	// Runs is how many repeated lines were folded into Metrics' medians
+	// (absent for a single run).
+	Runs    int                `json:"runs,omitempty"`
+	Metrics map[string]float64 `json:"metrics"`
 }
 
 // Doc is the whole document: machine context plus every benchmark.
@@ -271,7 +279,66 @@ func parse(sc *bufio.Scanner) (*Doc, error) {
 			}
 		}
 	}
+	doc.Benchmarks = fold(doc.Benchmarks)
 	return doc, sc.Err()
+}
+
+// fold merges the repeated results of each benchmark, keyed by package and
+// name, into one at the position of its first run: every metric becomes its
+// median over the runs that report it, and Iterations stays the first run's.
+func fold(rs []Result) []Result {
+	type key struct{ pkg, name string }
+	at := map[key]int{}
+	var groups [][]Result
+	for _, r := range rs {
+		k := key{r.Pkg, r.Name}
+		i, ok := at[k]
+		if !ok {
+			i = len(groups)
+			at[k] = i
+			groups = append(groups, nil)
+		}
+		groups[i] = append(groups[i], r)
+	}
+	out := make([]Result, 0, len(groups))
+	for _, g := range groups {
+		r := g[0]
+		if len(g) > 1 {
+			seen := map[string]bool{}
+			for _, run := range g {
+				for unit := range run.Metrics {
+					seen[unit] = true
+				}
+			}
+			units := make([]string, 0, len(seen))
+			for unit := range seen {
+				units = append(units, unit)
+			}
+			sort.Strings(units)
+			r.Runs, r.Metrics = len(g), make(map[string]float64, len(units))
+			for _, unit := range units {
+				var vs []float64
+				for _, run := range g {
+					if v, ok := run.Metrics[unit]; ok {
+						vs = append(vs, v)
+					}
+				}
+				r.Metrics[unit] = median(vs)
+			}
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// median returns the middle value of vs, or the mean of the middle two.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 // parseBench parses one "BenchmarkName-P  N  value unit  value unit ..."

@@ -207,3 +207,50 @@ BenchmarkDistributedControlPlane-2 	       1	 715235904 ns/op	        66.00 over
 		t.Errorf("allocation-only change failed the ns/op gate:\n%s", report)
 	}
 }
+
+// `go test -count N` prints one line per run: they fold into one result per
+// benchmark, in first-appearance order, at each metric's median — in the
+// converter and on both sides of the -compare gate.
+func TestFoldRepeatedRunsToMedians(t *testing.T) {
+	for _, c := range []struct {
+		name, text       string
+		runs             int
+		ns, bytes, alloc float64
+	}{
+		{"single run", "BenchmarkA-2 1 300 ns/op 10 B/op 1 allocs/op", 0, 300, 10, 1},
+		{"odd count", `BenchmarkA-2 1 300 ns/op 10 B/op 1 allocs/op
+BenchmarkA-2 1 100 ns/op 30 B/op 3 allocs/op
+BenchmarkA-2 1 200 ns/op 20 B/op 2 allocs/op`, 3, 200, 20, 2},
+		{"even count", `BenchmarkA-2 1 300 ns/op 10 B/op 1 allocs/op
+BenchmarkA-2 1 100 ns/op 30 B/op 2 allocs/op`, 2, 200, 20, 1.5},
+		{"interleaved with another", `BenchmarkA-2 1 900 ns/op 0 B/op 0 allocs/op
+BenchmarkB-2 1 5 ns/op 0 B/op 0 allocs/op
+BenchmarkA-2 1 100 ns/op 0 B/op 0 allocs/op
+BenchmarkA-2 1 110 ns/op 0 B/op 0 allocs/op`, 3, 110, 0, 0},
+	} {
+		doc := docFromText(t, "pkg: coordcharge\n"+c.text)
+		a := doc.Benchmarks[0]
+		if a.Name != "A" || a.Runs != c.runs {
+			t.Errorf("%s: first result %s with %d runs, want A with %d", c.name, a.Name, a.Runs, c.runs)
+		}
+		if m := a.Metrics; m["ns/op"] != c.ns || m["B/op"] != c.bytes || m["allocs/op"] != c.alloc {
+			t.Errorf("%s: metrics = %v, want ns %v, B %v, allocs %v", c.name, m, c.ns, c.bytes, c.alloc)
+		}
+	}
+	// The same name in two packages is two benchmarks.
+	doc := docFromText(t, "pkg: p1\nBenchmarkA 1 10 ns/op\npkg: p2\nBenchmarkA 1 20 ns/op\n")
+	if len(doc.Benchmarks) != 2 || doc.Benchmarks[0].Runs != 0 {
+		t.Errorf("cross-package fold: %+v", doc.Benchmarks)
+	}
+	// The gate diffs medians: one slow pass of three does not fail it, two do.
+	old := docFromText(t, "BenchmarkA 1 1000 ns/op\nBenchmarkA 1 1400 ns/op\nBenchmarkA 1 990 ns/op\n")
+	if old.Benchmarks[0].Metrics["ns/op"] != 1000 {
+		t.Fatalf("baseline median = %v, want 1000", old.Benchmarks[0].Metrics["ns/op"])
+	}
+	if report, ok := compare(old, docFromText(t, "BenchmarkA 1 1700 ns/op\nBenchmarkA 1 1100 ns/op\nBenchmarkA 1 1050 ns/op\n"), 25, 0); !ok {
+		t.Errorf("one slow pass failed the median gate:\n%s", report)
+	}
+	if report, ok := compare(old, docFromText(t, "BenchmarkA 1 1700 ns/op\nBenchmarkA 1 1300 ns/op\nBenchmarkA 1 1050 ns/op\n"), 25, 0); ok {
+		t.Errorf("a 30%% slower median passed a 25%% gate:\n%s", report)
+	}
+}

@@ -259,7 +259,9 @@ func NewEngine() *Engine { return sim.NewEngine() }
 type (
 	// Bus is the deterministic in-simulation message fabric.
 	Bus = bus.Bus
-	// BusMessage is one datagram between endpoints.
+	// BusMessage is one datagram between endpoints. The bus reuses a
+	// message once its last delivery has fired, so a handler must not keep
+	// a *BusMessage after it returns.
 	BusMessage = bus.Message
 	// AsyncAgent is the message-driven per-rack request handler.
 	AsyncAgent = dynamo.AsyncAgent

@@ -16,8 +16,10 @@ import (
 )
 
 // Message is one datagram between endpoints. It is also the engine event
-// that delivers it: the bus posts the message itself, so a send costs one
-// allocation and no closure.
+// that delivers it: the bus posts the message itself, and once its last
+// delivery has fired it goes back on the bus's free list for a later send. A
+// handler or Perturb hook must therefore not keep a *Message after it
+// returns; copy the fields it needs.
 type Message struct {
 	From, To string
 	// Kind discriminates the protocol operation ("read", "override", ...).
@@ -25,32 +27,39 @@ type Message struct {
 	// Payload carries the operation's argument or result.
 	Payload any
 
-	bus *Bus
-	dst *endpoint // To, resolved when the message is dispatched
+	bus      *Bus
+	src, dst *Endpoint // From and To, resolved
 	// onReply is the requester's callback. It makes a request answerable,
 	// and delivering a reply hands the reply's payload to it.
 	onReply func(now time.Duration, payload any)
 	isReply bool
+	pending int // posted deliveries (injected duplicates included) yet to fire
 }
 
 // Fire delivers the message when its latency elapses; it implements
 // sim.Target for the bus and is not meant to be called directly. A reply goes
 // to its requester's callback; anything else goes to its endpoint's handler,
-// or counts as dropped if nobody registered the endpoint.
+// or counts as dropped if nobody registered the endpoint. After the last
+// delivery the message is recycled.
 func (m *Message) Fire(now time.Duration) {
-	if m.isReply {
+	b := m.bus
+	m.pending--
+	switch {
+	case m.isReply:
 		m.onReply(now, m.Payload)
-		return
+	case m.dst.h == nil:
+		b.dropped++
+	default:
+		b.delivered++
+		m.dst.h(now, m)
 	}
-	if m.dst.h == nil {
-		m.bus.dropped++
-		return
+	if m.pending == 0 {
+		b.recycle(m)
 	}
-	m.bus.delivered++
-	m.dst.h(now, m)
 }
 
-// Handler processes a delivered message.
+// Handler processes a delivered message. The message is only valid until
+// the handler returns: the bus reuses it afterwards.
 type Handler func(now time.Duration, msg *Message)
 
 // LatencyModel returns the one-way delivery delay between two endpoints.
@@ -65,35 +74,53 @@ func ConstantLatency(d time.Duration) LatencyModel {
 type Bus struct {
 	engine    *sim.Engine
 	latency   LatencyModel
-	endpoints map[string]*endpoint
+	endpoints map[string]*Endpoint
 	// replyKinds interns "reply:<kind>" by request kind.
-	replyKinds map[string]string
+	replyKinds []interned
+	free       []*Message // delivered messages awaiting reuse
 	delivered  uint64
 	dropped    uint64
 	// Perturb, when set, lets a fault injector act on every message —
 	// requests, one-way sends, and replies (replies are presented with
 	// Kind "reply:<kind>" and swapped From/To). Returning drop discards
 	// the message, extra adds delivery delay beyond the latency model,
-	// and dup delivers that many additional copies.
+	// and dup delivers that many additional copies. Like a handler, it
+	// must not keep the message.
 	Perturb func(now time.Duration, msg *Message) (drop bool, extra time.Duration, dup int)
 }
 
-// endpoint is one destination name: its handler, nil until registered, and
-// its delivery-event labels interned by message kind.
-type endpoint struct {
-	name   string
-	h      Handler
-	labels map[string]string
+// interned is a string derived from a message kind, kept for reuse.
+type interned struct{ kind, s string }
+
+// lookup returns the string interned for kind in list, making it with mk
+// on first use. A node's kinds are few, so a scan beats hashing.
+func lookup(list *[]interned, kind string, mk func() string) string {
+	for i := range *list {
+		if (*list)[i].kind == kind {
+			return (*list)[i].s
+		}
+	}
+	s := mk()
+	*list = append(*list, interned{kind, s})
+	return s
 }
 
+// Endpoint is a resolved bus address: one name, its handler (nil until
+// registered), and its delivery-event labels interned by message kind.
+// Senders resolve their peers once with Bus.Endpoint, so no message hashes
+// a name.
+type Endpoint struct {
+	name   string
+	h      Handler
+	labels []interned
+}
+
+// Name returns the endpoint's name.
+func (ep *Endpoint) Name() string { return ep.name }
+
 // label returns the interned "bus:<kind>:<name>" delivery-event label.
-func (ep *endpoint) label(kind string) string {
-	l, ok := ep.labels[kind]
-	if !ok {
-		l = "bus:" + kind + ":" + ep.name
-		ep.labels[kind] = l
-	}
-	return l
+func (ep *Endpoint) label(kind string) string {
+	return lookup(&ep.labels, kind, func() string { return "bus:" + kind + ":" + ep.name })
 }
 
 // New builds a bus over the engine. A nil latency model means instant
@@ -105,16 +132,13 @@ func New(engine *sim.Engine, latency LatencyModel) *Bus {
 	if latency == nil {
 		latency = ConstantLatency(0)
 	}
-	return &Bus{
-		engine: engine, latency: latency,
-		endpoints: make(map[string]*endpoint), replyKinds: make(map[string]string),
-	}
+	return &Bus{engine: engine, latency: latency, endpoints: make(map[string]*Endpoint)}
 }
 
 // Register attaches a handler to an endpoint name. Registering a name twice
 // panics: endpoint identity is a wiring invariant.
 func (b *Bus) Register(name string, h Handler) {
-	ep := b.endpoint(name)
+	ep := b.Endpoint(name)
 	if ep.h != nil {
 		panic(fmt.Errorf("bus: endpoint %q registered twice", name))
 	}
@@ -124,13 +148,13 @@ func (b *Bus) Register(name string, h Handler) {
 	ep.h = h
 }
 
-// endpoint returns the named endpoint, creating it unregistered on first use:
-// a message to a name nobody has registered yet still gets an interned label,
-// and is dropped if the name is still unregistered when it arrives.
-func (b *Bus) endpoint(name string) *endpoint {
+// Endpoint resolves a name, creating its endpoint unregistered on first
+// use: a message to a name nobody has registered yet still gets an interned
+// label, and is dropped if the name is still unregistered when it arrives.
+func (b *Bus) Endpoint(name string) *Endpoint {
 	ep, ok := b.endpoints[name]
 	if !ok {
-		ep = &endpoint{name: name, labels: make(map[string]string)}
+		ep = &Endpoint{name: name}
 		b.endpoints[name] = ep
 	}
 	return ep
@@ -143,18 +167,31 @@ func (b *Bus) Delivered() uint64 { return b.delivered }
 // unknown endpoints.
 func (b *Bus) Dropped() uint64 { return b.dropped }
 
-// Send dispatches a one-way message; delivery happens after the latency
-// model's delay. Messages to unregistered endpoints are counted as dropped
-// (a controller may poll an agent that has been decommissioned).
+// Send dispatches a one-way message by endpoint names; see SendTo.
 func (b *Bus) Send(from, to, kind string, payload any) {
-	b.dispatch(&Message{From: from, To: to, Kind: kind, Payload: payload, bus: b})
+	b.SendTo(b.Endpoint(from), b.Endpoint(to), kind, payload)
 }
 
-// Request dispatches a message and routes the response back through the bus
-// (paying latency both ways). The responder completes the exchange by
-// calling Reply on the delivered message.
+// SendTo dispatches a one-way message; delivery happens after the latency
+// model's delay. Messages to unregistered endpoints are counted as dropped
+// (a controller may poll an agent that has been decommissioned).
+func (b *Bus) SendTo(from, to *Endpoint, kind string, payload any) {
+	m := b.message(from, to, kind, payload)
+	b.dispatch(m)
+}
+
+// Request dispatches a request by endpoint names; see RequestTo.
 func (b *Bus) Request(from, to, kind string, payload any, onReply func(now time.Duration, payload any)) {
-	b.dispatch(&Message{From: from, To: to, Kind: kind, Payload: payload, bus: b, onReply: onReply})
+	b.RequestTo(b.Endpoint(from), b.Endpoint(to), kind, payload, onReply)
+}
+
+// RequestTo dispatches a message and routes the response back through the
+// bus to from (paying latency both ways). The responder completes the
+// exchange by calling Reply on the delivered message.
+func (b *Bus) RequestTo(from, to *Endpoint, kind string, payload any, onReply func(now time.Duration, payload any)) {
+	m := b.message(from, to, kind, payload)
+	m.onReply = onReply
+	b.dispatch(m)
 }
 
 // Reply completes a request/response exchange. Replying to a one-way
@@ -163,42 +200,63 @@ func (b *Bus) Reply(now time.Duration, msg *Message, payload any) {
 	if msg.onReply == nil {
 		panic(fmt.Errorf("bus: reply to one-way %s message from %s", msg.Kind, msg.From))
 	}
-	// The response travels back with its own delay and is subject to the
-	// same fault perturbation as a forward message.
-	b.dispatch(&Message{
-		From: msg.To, To: msg.From, Kind: b.replyKind(msg.Kind), Payload: payload,
-		bus: b, onReply: msg.onReply, isReply: true,
-	})
+	// The response travels back to the requester's endpoint with its own
+	// delay and is subject to the same fault perturbation as a forward
+	// message.
+	kind := lookup(&b.replyKinds, msg.Kind, func() string { return "reply:" + msg.Kind })
+	r := b.message(msg.dst, msg.src, kind, payload)
+	r.onReply, r.isReply = msg.onReply, true
+	b.dispatch(r)
 }
 
-// dispatch applies the fault perturbation to msg, then posts it for delivery
+// message takes a message off the free list, or allocates one, and
+// addresses it.
+func (b *Bus) message(from, to *Endpoint, kind string, payload any) *Message {
+	var m *Message
+	if n := len(b.free); n > 0 {
+		m = b.free[n-1]
+		b.free[n-1] = nil
+		b.free = b.free[:n-1]
+	} else {
+		m = &Message{bus: b}
+	}
+	m.From, m.To, m.Kind, m.Payload = from.name, to.name, kind, payload
+	m.src, m.dst = from, to
+	return m
+}
+
+// recycle clears a message whose deliveries are all done and puts it on the
+// free list.
+func (b *Bus) recycle(m *Message) {
+	*m = Message{bus: b}
+	b.free = append(b.free, m)
+}
+
+// dispatch applies the fault perturbation to m, then posts it for delivery
 // after the latency model's delay (plus any injected extra), once per
-// injected duplicate.
-func (b *Bus) dispatch(msg *Message) {
+// injected duplicate. A dropped message is recycled at once.
+func (b *Bus) dispatch(m *Message) {
 	var extra time.Duration
 	var dup int
 	if b.Perturb != nil {
 		var drop bool
-		drop, extra, dup = b.Perturb(b.engine.Now(), msg)
+		drop, extra, dup = b.Perturb(b.engine.Now(), m)
 		if drop {
 			b.dropped++
+			b.recycle(m)
 			return
 		}
 	}
-	d := b.latency(msg.From, msg.To) + extra
-	msg.dst = b.endpoint(msg.To)
-	label := msg.dst.label(msg.Kind)
+	d := b.latency(m.From, m.To)
+	label := m.dst.label(m.Kind)
+	m.pending = 1 + dup
 	for i := 0; i <= dup; i++ {
-		b.engine.PostAfter(d, label, msg)
+		if extra == 0 {
+			b.engine.PostAfter(d, label, m)
+		} else {
+			// An injected delay is one-off: it goes to the engine's heap
+			// rather than taking a FIFO lane.
+			b.engine.Post(b.engine.Now()+d+extra, label, m)
+		}
 	}
-}
-
-// replyKind returns the interned "reply:<kind>" kind of a reply.
-func (b *Bus) replyKind(kind string) string {
-	r, ok := b.replyKinds[kind]
-	if !ok {
-		r = "reply:" + kind
-		b.replyKinds[kind] = r
-	}
-	return r
 }

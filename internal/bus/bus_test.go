@@ -1,6 +1,7 @@
 package bus
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -243,9 +244,10 @@ func TestRegisterBeforeArrivalDelivers(t *testing.T) {
 	}
 }
 
-// A one-way send costs one allocation, the message: its delivery event is
-// recycled and its label interned.
-func TestSendAllocatesOnlyTheMessage(t *testing.T) {
+// A one-way send allocates nothing in steady state: the message comes off
+// the bus's free list, its delivery event rides a FIFO lane, and its label
+// is interned.
+func TestSendAllocatesNothing(t *testing.T) {
 	e := sim.NewEngine()
 	b := New(e, ConstantLatency(time.Millisecond))
 	b.Register("dst", func(time.Duration, *Message) {})
@@ -253,29 +255,153 @@ func TestSendAllocatesOnlyTheMessage(t *testing.T) {
 		b.Send("src", "dst", "ping", nil)
 		e.Step()
 	})
-	if allocs != 1 {
-		t.Errorf("Send→delivery allocates %v times, want 1", allocs)
+	if allocs != 0 {
+		t.Errorf("Send→delivery allocates %v times, want 0", allocs)
 	}
 }
 
-// A round trip costs two allocations, the request and the reply, with no
-// reply closure or wrapper message (payloads are boxed by the caller).
-func TestRequestReplyAllocatesTwoMessages(t *testing.T) {
+// A round trip allocates nothing in steady state: request and reply are
+// both recycled, with no reply closure or wrapper message (payloads are
+// boxed by the caller).
+func TestRequestReplyAllocatesNothing(t *testing.T) {
 	e := sim.NewEngine()
 	b := New(e, ConstantLatency(time.Millisecond))
 	var result any = 42
 	b.Register("svc", func(now time.Duration, msg *Message) { b.Reply(now, msg, result) })
 	replies := 0
 	onReply := func(time.Duration, any) { replies++ }
+	cli, svc := b.Endpoint("cli"), b.Endpoint("svc")
 	allocs := testing.AllocsPerRun(100, func() {
-		b.Request("cli", "svc", "read", nil, onReply)
+		b.RequestTo(cli, svc, "read", nil, onReply)
 		e.Step()
 		e.Step()
 	})
-	if allocs != 2 {
-		t.Errorf("Request→Reply→onReply allocates %v times, want 2", allocs)
+	if allocs != 0 {
+		t.Errorf("Request→Reply→onReply allocates %v times, want 0", allocs)
 	}
 	if replies != 101 {
 		t.Errorf("replies = %d, want 101", replies)
+	}
+}
+
+// An injected duplicate delivers every copy with its fields intact, and the
+// message is reused only after its last copy: a send made between the
+// copies gets a different message.
+func TestDuplicateDeliversEveryCopyBeforeReuse(t *testing.T) {
+	for _, dup := range []int{1, 2} {
+		e := sim.NewEngine()
+		b := New(e, ConstantLatency(10*time.Millisecond))
+		type seen struct {
+			from, to, kind string
+			payload        any
+			msg            *Message
+		}
+		var got []seen
+		var probes []*Message
+		b.Register("dst", func(now time.Duration, msg *Message) {
+			if msg.Kind == "probe" {
+				probes = append(probes, msg)
+				return
+			}
+			got = append(got, seen{msg.From, msg.To, msg.Kind, msg.Payload, msg})
+			// Sends between copies must not take the duplicated message.
+			b.Send("other", "dst", "probe", nil)
+		})
+		b.Perturb = func(_ time.Duration, msg *Message) (bool, time.Duration, int) {
+			if msg.Kind == "cmd" {
+				return false, 0, dup
+			}
+			return false, 0, 0
+		}
+		b.Send("src", "dst", "cmd", 7)
+		e.RunAll()
+		if len(got) != dup+1 {
+			t.Fatalf("dup %d: %d deliveries, want %d", dup, len(got), dup+1)
+		}
+		for i, g := range got {
+			if g.from != "src" || g.to != "dst" || g.kind != "cmd" || g.payload != 7 || g.msg != got[0].msg {
+				t.Errorf("dup %d: copy %d = %+v, want the same intact message", dup, i, g)
+			}
+		}
+		for _, p := range probes[:dup] {
+			if p == got[0].msg {
+				t.Errorf("dup %d: a probe reused the message before its last copy fired", dup)
+			}
+		}
+		if b.Delivered() != uint64(2*(dup+1)) {
+			t.Errorf("dup %d: delivered = %d, want %d", dup, b.Delivered(), 2*(dup+1))
+		}
+		// Every copy has fired: the next send reuses a recycled message.
+		b.Send("src", "dst", "probe", nil)
+		if n := len(b.free); n != dup+1 {
+			t.Errorf("dup %d: free list holds %d messages, want %d", dup, n, dup+1)
+		}
+	}
+}
+
+// A message the Perturb hook drops is recycled at once, before any event
+// runs; so is one delivered to an unregistered endpoint.
+func TestDroppedMessagesRecycle(t *testing.T) {
+	e := sim.NewEngine()
+	b := New(e, ConstantLatency(time.Millisecond))
+	b.Perturb = func(_ time.Duration, msg *Message) (bool, time.Duration, int) {
+		return msg.Kind == "lost", 0, 0
+	}
+	b.Send("a", "ghost", "lost", nil)
+	if len(b.free) != 1 || e.Pending() != 0 || b.Dropped() != 1 {
+		t.Fatalf("after a drop: free %d, pending %d, dropped %d; want 1, 0, 1", len(b.free), e.Pending(), b.Dropped())
+	}
+	dropped := b.free[0]
+	b.Send("a", "ghost", "x", nil)
+	if len(b.free) != 0 {
+		t.Fatalf("send did not reuse the dropped message")
+	}
+	e.RunAll()
+	if len(b.free) != 1 || b.free[0] != dropped || b.Dropped() != 2 || b.Delivered() != 0 {
+		t.Errorf("after an unregistered delivery: free %d, dropped %d, delivered %d; want the message back, 2, 0",
+			len(b.free), b.Dropped(), b.Delivered())
+	}
+	if m := b.free[0]; m.From != "" || m.Payload != nil || m.onReply != nil || m.dst != nil {
+		t.Errorf("recycled message keeps fields: %+v", m)
+	}
+}
+
+// Replies reach their own requester however the messages are reused: two
+// clients interleave requests over recycled messages, and each reply
+// carries its own request's answer back along the swapped route.
+func TestRepliesReachRequesterAfterReuse(t *testing.T) {
+	e := sim.NewEngine()
+	b := New(e, ConstantLatency(time.Millisecond))
+	b.Register("svc", func(now time.Duration, msg *Message) {
+		b.Reply(now, msg, msg.From+":"+msg.Payload.(string))
+	})
+	var routes []string
+	b.Perturb = func(_ time.Duration, msg *Message) (bool, time.Duration, int) {
+		routes = append(routes, msg.From+">"+msg.To+" "+msg.Kind)
+		return false, 0, 0
+	}
+	got := map[string][]string{}
+	for round := 0; round < 5; round++ {
+		for _, cli := range []string{"a", "b"} {
+			cli := cli
+			b.Request(cli, "svc", "ask", fmt.Sprint(round), func(_ time.Duration, payload any) {
+				got[cli] = append(got[cli], payload.(string))
+			})
+		}
+		e.RunAll()
+	}
+	for _, cli := range []string{"a", "b"} {
+		want := fmt.Sprint([]string{cli + ":0", cli + ":1", cli + ":2", cli + ":3", cli + ":4"})
+		if fmt.Sprint(got[cli]) != want {
+			t.Errorf("client %s got %v, want %s", cli, got[cli], want)
+		}
+	}
+	if len(routes) != 20 || routes[2] != "svc>a reply:ask" || routes[3] != "svc>b reply:ask" {
+		t.Errorf("perturbed routes = %v", routes)
+	}
+	// Two requests in flight, plus the first reply, made while its request
+	// was still being handled; the second reply reuses the first request.
+	if len(b.free) != 3 {
+		t.Errorf("free list holds %d messages, want the 3 a round needs", len(b.free))
 	}
 }

@@ -145,7 +145,7 @@ type AsyncAgent struct {
 	b           *bus.Bus
 	engine      *sim.Engine
 	settle      time.Duration
-	inj         *faults.Injector
+	sched       *faults.Component // the agent's crash schedule; nil never crashes
 }
 
 // AgentEndpoint returns the bus endpoint name for a rack.
@@ -164,10 +164,15 @@ func NewAsyncAgent(b *bus.Bus, engine *sim.Engine, r *rack.Rack, settle time.Dur
 // SetFaults attaches a fault injector; while the injector schedules the
 // agent's component down, delivered messages are silently discarded
 // (requests time out, commands vanish).
-func (a *AsyncAgent) SetFaults(inj *faults.Injector) { a.inj = inj }
+func (a *AsyncAgent) SetFaults(inj *faults.Injector) {
+	a.sched = nil
+	if inj != nil {
+		a.sched = inj.Component(a.name)
+	}
+}
 
 func (a *AsyncAgent) handle(now time.Duration, msg *bus.Message) {
-	if a.inj != nil && !a.inj.Up(a.name, now) {
+	if !a.sched.Up(now) {
 		return
 	}
 	switch msg.Kind {
@@ -220,12 +225,14 @@ type AsyncLeaf struct {
 	decider
 	pollLoop
 	b          *bus.Bus
+	self       *bus.Endpoint
 	plans      bool
 	pollPeriod time.Duration
-	agents     []string       // agent endpoints in poll order
-	racks      []leafRack     // the polled racks in name order: the telemetry cache
-	slot       map[string]int // rack name -> index in racks
-	snaps      []Snapshot     // evaluate's view buffer, reused every generation
+	agents     []*bus.Endpoint // agent endpoints in poll order
+	racks      []leafRack      // the polled racks in name order: the telemetry cache
+	slot       map[string]int  // rack name -> index in racks
+	snaps      []Snapshot      // evaluate's view buffer, reused every generation
+	viewRack   []int           // the index in racks of each entry of snaps
 	was        map[string]bool
 	tracker    overrideTracker // overrides by index in racks
 	heartbeat  bool
@@ -239,9 +246,10 @@ type AsyncLeaf struct {
 
 // leafRack is one polled rack: its agent's endpoint and latest snapshot.
 type leafRack struct {
-	name, agent string
-	snap        Snapshot
-	have        bool // snap holds telemetry; a crash clears it
+	name  string
+	agent *bus.Endpoint
+	snap  Snapshot
+	have  bool // snap holds telemetry; a crash clears it
 }
 
 // LeafEndpoint returns the bus endpoint name for a leaf controller.
@@ -267,10 +275,11 @@ func NewAsyncLeafOpts(b *bus.Bus, engine *sim.Engine, node *power.Node, agentRac
 		heartbeat:  opts.Heartbeat,
 	}
 	l.decider = newDecider(l, name, node, mode, cfg, opts.StaleAfter, opts.Injector, opts.Obs)
+	l.self = b.Endpoint(name)
 	l.upperSource = name + "/upper"
 	l.uncapSelf, l.uncapUpper = name, l.upperSource
 	for _, r := range agentRacks {
-		ep := AgentEndpoint(r.Name())
+		ep := b.Endpoint(AgentEndpoint(r.Name()))
 		l.agents = append(l.agents, ep)
 		l.racks = append(l.racks, leafRack{name: r.Name(), agent: ep})
 	}
@@ -312,7 +321,7 @@ func (l *AsyncLeaf) request(_ time.Duration, g *pollGen) {
 		g.replied(now)
 	}
 	for _, ep := range l.agents {
-		l.b.Request(l.comp, ep, "read", nil, onReply)
+		l.b.RequestTo(l.self, ep, "read", nil, onReply)
 	}
 }
 
@@ -336,11 +345,11 @@ func (l *AsyncLeaf) firstRack() string {
 }
 
 // agentOf returns the endpoint of a rack's agent.
-func (l *AsyncLeaf) agentOf(rackName string) string {
+func (l *AsyncLeaf) agentOf(rackName string) *bus.Endpoint {
 	if i, ok := l.slot[rackName]; ok {
 		return l.racks[i].agent
 	}
-	return AgentEndpoint(rackName)
+	return l.b.Endpoint(AgentEndpoint(rackName))
 }
 
 // override issues an override to a rack this leaf polls, through the
@@ -354,7 +363,7 @@ func (l *AsyncLeaf) override(now time.Duration, rackName string, want units.Curr
 // deliver, readback and rackName carry the override tracker's commands over
 // the bus; confirming telemetry is whatever the polls last cached.
 func (l *AsyncLeaf) deliver(_ time.Duration, i int, want units.Current) bool {
-	l.b.Send(l.comp, l.racks[i].agent, "override", want)
+	l.b.SendTo(l.self, l.racks[i].agent, "override", want)
 	return true
 }
 
@@ -370,7 +379,13 @@ func (l *AsyncLeaf) rackName(i int) string { return l.racks[i].name }
 // setpoints are stale; the next poll sees their effect (plan, then monitor —
 // the paper's sequencing).
 func (l *AsyncLeaf) evaluate(now time.Duration) {
-	l.snaps = l.appendSnapshots(l.snaps[:0])
+	l.snaps, l.viewRack = l.snaps[:0], l.viewRack[:0]
+	for i := range l.racks {
+		if c := &l.racks[i]; c.have {
+			l.snaps = append(l.snaps, c.snap)
+			l.viewRack = append(l.viewRack, i)
+		}
+	}
 	snaps := l.snaps
 	l.rewriteStale(snaps, now)
 	l.gHeadroom.Set(float64(l.node.Headroom()))
@@ -390,7 +405,7 @@ func (l *AsyncLeaf) evaluate(now time.Duration) {
 	}
 	if l.heartbeat {
 		for _, ep := range l.agents {
-			l.b.Send(l.comp, ep, "heartbeat", nil)
+			l.b.SendTo(l.self, ep, "heartbeat", nil)
 		}
 	}
 }
@@ -430,7 +445,7 @@ func (l *AsyncLeaf) protect(now time.Duration, snaps []Snapshot) {
 	excess := l.excess(now, snaps)
 	if excess <= 0 {
 		for i := range snaps {
-			l.b.Send(l.comp, l.agentOf(snaps[i].Name), "uncap", l.uncapSelf)
+			l.b.SendTo(l.self, l.viewAgent(i), "uncap", l.uncapSelf)
 		}
 		return
 	}
@@ -451,15 +466,18 @@ func (l *AsyncLeaf) protect(now time.Duration, snaps []Snapshot) {
 		return
 	}
 	applied, it := l.capServers(snaps, excess, func(i int, level units.Power) bool {
-		l.b.Send(l.comp, l.agentOf(snaps[i].Name), "cap", CapRequest{Source: l.comp, Level: level})
+		l.b.SendTo(l.self, l.viewAgent(i), "cap", CapRequest{Source: l.comp, Level: level})
 		return true
 	}, func(i int) {
-		l.b.Send(l.comp, l.agentOf(snaps[i].Name), "uncap", l.uncapSelf)
+		l.b.SendTo(l.self, l.viewAgent(i), "uncap", l.uncapSelf)
 	})
 	// CappedEnergy integrates at the poll period: caps hold until at least
 	// the next generation.
 	l.noteCapping(now, applied, it, l.pollPeriod)
 }
+
+// viewAgent returns the agent endpoint of entry i of evaluate's view.
+func (l *AsyncLeaf) viewAgent(i int) *bus.Endpoint { return l.racks[l.viewRack[i]].agent }
 
 // handle serves upper-controller requests. A crashed leaf serves nothing:
 // requests go unanswered (the upper's evaluation deadline copes) and
@@ -481,15 +499,15 @@ func (l *AsyncLeaf) handle(now time.Duration, msg *bus.Message) {
 	case "caps":
 		caps := msg.Payload.(map[string]units.Power)
 		for _, name := range sortedKeys(caps) {
-			l.b.Send(l.comp, l.agentOf(name), "cap", CapRequest{Source: l.upperSource, Level: caps[name]})
+			l.b.SendTo(l.self, l.agentOf(name), "cap", CapRequest{Source: l.upperSource, Level: caps[name]})
 		}
 	case "uncaps":
 		for _, name := range msg.Payload.([]string) {
-			l.b.Send(l.comp, l.agentOf(name), "uncap", l.uncapUpper)
+			l.b.SendTo(l.self, l.agentOf(name), "uncap", l.uncapUpper)
 		}
 	case "pausecharges":
 		for _, name := range msg.Payload.([]string) {
-			l.b.Send(l.comp, l.agentOf(name), "postpone", nil)
+			l.b.SendTo(l.self, l.agentOf(name), "postpone", nil)
 			// A pending override for a rack being paused is moot; cancel it
 			// rather than let retries race the pause.
 			if i, ok := l.slot[name]; ok {
@@ -500,7 +518,7 @@ func (l *AsyncLeaf) handle(now time.Duration, msg *bus.Message) {
 	case "resumecharges":
 		currents := msg.Payload.(map[string]units.Current)
 		for _, name := range sortedKeys(currents) {
-			l.b.Send(l.comp, l.agentOf(name), "resume", currents[name])
+			l.b.SendTo(l.self, l.agentOf(name), "resume", currents[name])
 		}
 	default:
 		panic(fmt.Errorf("dynamo: leaf %s received unknown message kind %q", l.comp, msg.Kind))
@@ -528,11 +546,13 @@ type AsyncUpper struct {
 	decider
 	pollLoop
 	b          *bus.Bus
-	leaves     []string
-	byName     []string // leaves ordered by their first rack's name
+	self       *bus.Endpoint
+	leaves     []*bus.Endpoint // in poll order
+	byName     []int           // leaf indices ordered by their first rack's name
+	byEndpoint []int           // leaf indices ordered by endpoint name: the send order
 	pollPeriod time.Duration
-	agg        map[string]AggregateReply
-	snaps      []Snapshot // evaluate's view buffer, reused every generation
+	agg        []AggregateReply // each leaf's latest reply, by leaf index
+	snaps      []Snapshot       // evaluate's view buffer, reused every generation
 	was        map[string]bool
 	resyncing  bool // the first generation after a restart rebuilds was and the queue
 
@@ -558,8 +578,9 @@ func NewAsyncUpperOpts(b *bus.Bus, engine *sim.Engine, node *power.Node, leaves 
 	name := UpperEndpoint(node.Name())
 	u := &AsyncUpper{
 		b:          b,
+		self:       b.Endpoint(name),
 		pollPeriod: poll,
-		agg:        make(map[string]AggregateReply),
+		agg:        make([]AggregateReply, len(leaves)),
 		was:        make(map[string]bool),
 	}
 	u.decider = newDecider(u, name, node, mode, cfg, opts.StaleAfter, opts.Injector, opts.Obs)
@@ -568,16 +589,15 @@ func NewAsyncUpperOpts(b *bus.Bus, engine *sim.Engine, node *power.Node, leaves 
 		u.armStorm(*opts.Storm, opts.Obs)
 		u.resumed = make(map[string]time.Duration)
 	}
-	for _, l := range leaves {
-		u.leaves = append(u.leaves, l.comp)
+	for i, l := range leaves {
+		u.leaves = append(u.leaves, b.Endpoint(l.comp))
+		u.byName = append(u.byName, i)
+		u.byEndpoint = append(u.byEndpoint, i)
 	}
 	// Flattening the aggregates in this order yields a name-sorted view
 	// outright whenever each leaf owns a contiguous range of rack names.
-	ordered := slices.Clone(leaves)
-	slices.SortStableFunc(ordered, func(a, b *AsyncLeaf) int { return strings.Compare(a.firstRack(), b.firstRack()) })
-	for _, l := range ordered {
-		u.byName = append(u.byName, l.comp)
-	}
+	slices.SortStableFunc(u.byName, func(a, b int) int { return strings.Compare(leaves[a].firstRack(), leaves[b].firstRack()) })
+	slices.SortFunc(u.byEndpoint, func(a, b int) int { return strings.Compare(leaves[a].comp, leaves[b].comp) })
 	u.pollLoop = newPollLoop(u, engine, name, len(u.leaves), opts.evalAfter(poll))
 	b.Register(name, func(now time.Duration, msg *bus.Message) {
 		panic(fmt.Errorf("dynamo: upper %s received unexpected %q", name, msg.Kind))
@@ -594,7 +614,7 @@ func (u *AsyncUpper) StormQueue() *storm.Queue { return u.stormQ }
 // forget drops the aggregates, charge tracking and admission grants a crash
 // loses.
 func (u *AsyncUpper) forget(time.Duration) {
-	u.agg = make(map[string]AggregateReply)
+	clear(u.agg)
 	u.was = make(map[string]bool)
 	if u.stormQ != nil {
 		u.resumed = make(map[string]time.Duration)
@@ -607,9 +627,9 @@ func (u *AsyncUpper) resync(time.Duration) { u.resyncing = true }
 
 // request asks every leaf for its aggregate.
 func (u *AsyncUpper) request(_ time.Duration, g *pollGen) {
-	for _, ep := range u.leaves {
-		u.b.Request(u.comp, ep, "aggregate", nil, func(now time.Duration, payload any) {
-			u.agg[ep] = payload.(AggregateReply)
+	for i, ep := range u.leaves {
+		u.b.RequestTo(u.self, ep, "aggregate", nil, func(now time.Duration, payload any) {
+			u.agg[i] = payload.(AggregateReply)
 			g.replied(now)
 		})
 	}
@@ -626,24 +646,24 @@ func sortByName(snaps []Snapshot) {
 	}
 }
 
-// leafOf returns the leaf endpoint owning a rack name in the current
-// aggregate generation.
-func (u *AsyncUpper) leafOf(rackName string) string {
-	for _, ep := range u.leaves {
-		for _, s := range u.agg[ep].Racks {
+// leafOf returns the index of the leaf owning a rack name in the current
+// aggregate generation, or -1.
+func (u *AsyncUpper) leafOf(rackName string) int {
+	for i := range u.agg {
+		for _, s := range u.agg[i].Racks {
 			if s.Name == rackName {
-				return ep
+				return i
 			}
 		}
 	}
-	return ""
+	return -1
 }
 
 // route adds a directive for a rack to its leaf's batch; it reports false
 // when no leaf owned the rack in the current aggregate generation.
-func route[V any](u *AsyncUpper, batch map[string]map[string]V, rackName string, v V) bool {
+func route[V any](u *AsyncUpper, batch map[int]map[string]V, rackName string, v V) bool {
 	leaf := u.leafOf(rackName)
-	if leaf == "" {
+	if leaf < 0 {
 		return false
 	}
 	if batch[leaf] == nil {
@@ -654,9 +674,11 @@ func route[V any](u *AsyncUpper, batch map[string]map[string]V, rackName string,
 }
 
 // sendBatch sends each leaf its part of a batch, in leaf name order.
-func sendBatch[V any](u *AsyncUpper, kind string, batch map[string]V) {
-	for _, leaf := range sortedKeys(batch) {
-		u.b.Send(u.comp, leaf, kind, batch[leaf])
+func sendBatch[V any](u *AsyncUpper, kind string, batch map[int]V) {
+	for _, leaf := range u.byEndpoint {
+		if v, ok := batch[leaf]; ok {
+			u.b.SendTo(u.self, u.leaves[leaf], kind, v)
+		}
 	}
 }
 
@@ -665,8 +687,8 @@ func (u *AsyncUpper) evaluate(now time.Duration) {
 	// (a crashed or unreachable leaf leaves its racks' snapshots aging in
 	// the aggregate cache; they are assumed to draw worst case).
 	snaps := u.snaps[:0]
-	for _, ep := range u.byName {
-		snaps = append(snaps, u.agg[ep].Racks...)
+	for _, i := range u.byName {
+		snaps = append(snaps, u.agg[i].Racks...)
 	}
 	sortByName(snaps)
 	u.snaps = snaps
@@ -747,11 +769,11 @@ func (u *AsyncUpper) planFresh(now time.Duration, snaps []Snapshot) bool {
 		// The racks keep charging until the pause lands; leaving was=false
 		// means a rack whose pause message is lost shows up fresh again next
 		// generation and is re-paused.
-		byLeaf := map[string][]string{}
+		byLeaf := map[int][]string{}
 		for _, ri := range starts {
 			u.stormQ.Enqueue(now, storm.Request{Name: ri.Name, Priority: ri.Priority, DOD: snaps[ri.ID].DOD, Since: snaps[ri.ID].ChargeStart})
 			u.was[ri.Name] = false
-			if leaf := u.leafOf(ri.Name); leaf != "" {
+			if leaf := u.leafOf(ri.Name); leaf >= 0 {
 				byLeaf[leaf] = append(byLeaf[leaf], ri.Name)
 			}
 		}
@@ -759,7 +781,7 @@ func (u *AsyncUpper) planFresh(now time.Duration, snaps []Snapshot) bool {
 		return true
 	}
 	available := u.effLimit(now) - u.itLoad(snaps)
-	batch := map[string]map[string]units.Current{}
+	batch := map[int]map[string]units.Current{}
 	for _, asg := range u.plan(now, available, starts) {
 		if asg.DOD <= 0 || asg.Postponed {
 			continue
@@ -809,7 +831,7 @@ func (u *AsyncUpper) admitStorm(now time.Duration, snaps []Snapshot) {
 	if !u.admitting(now) {
 		return
 	}
-	batch := map[string]map[string]units.Current{}
+	batch := map[int]map[string]units.Current{}
 	for _, g := range u.admit(now, u.draw(snaps)) {
 		if !route(u, batch, g.Name, g.Current) {
 			// Unroutable (the owning leaf's reply never arrived this
@@ -829,19 +851,19 @@ func (u *AsyncUpper) admitStorm(now time.Duration, snaps []Snapshot) {
 func (u *AsyncUpper) protect(now time.Duration, snaps []Snapshot) {
 	excess := u.excess(now, snaps)
 	if excess <= 0 {
-		for _, ep := range u.leaves {
-			racks := u.agg[ep].Racks
+		for li, ep := range u.leaves {
+			racks := u.agg[li].Racks
 			names := make([]string, len(racks))
 			for i := range racks {
 				names[i] = racks[i].Name
 			}
-			u.b.Send(u.comp, ep, "uncaps", names)
+			u.b.SendTo(u.self, ep, "uncaps", names)
 		}
 		return
 	}
 	if u.mode.coordinates() {
 		min := u.cfg.Surface.MinCurrent()
-		batch := map[string]map[string]units.Current{}
+		batch := map[int]map[string]units.Current{}
 		for _, id := range u.throttle(now, snaps, excess) {
 			s := &snaps[id]
 			if !route(u, batch, s.Name, min) {
@@ -857,7 +879,7 @@ func (u *AsyncUpper) protect(now time.Duration, snaps []Snapshot) {
 	if excess <= 0 {
 		return
 	}
-	caps := map[string]map[string]units.Power{}
+	caps := map[int]map[string]units.Power{}
 	applied, it := u.capServers(snaps, excess, func(i int, level units.Power) bool {
 		return route(u, caps, snaps[i].Name, level)
 	}, func(int) {})

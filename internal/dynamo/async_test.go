@@ -263,11 +263,11 @@ func TestAsyncSurvivesMessageLoss(t *testing.T) {
 	}
 }
 
-// asyncPollAllocBudget is the measured allocation count of one quiescent
-// poll generation over ten racks: the generation and its reply callback, the
-// poller's next tick, and per rack a read request, its boxed snapshot, the
-// reply message and an uncap.
-const asyncPollAllocBudget = 43
+// asyncPollAllocBudget is the exact allocation count of one quiescent poll
+// generation over ten racks: the generation and its reply callback, and per
+// rack the boxed snapshot its agent replies with. Messages, delivery events
+// and the poller's next tick are all reused.
+const asyncPollAllocBudget = 12
 
 // A poll generation's allocations are gated exactly: they are deterministic,
 // and the message plane's cost per poll is what the distributed plane's
@@ -290,7 +290,7 @@ func TestAsyncLeafPollAllocations(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		generation()
 	}
-	if allocs := testing.AllocsPerRun(20, generation); allocs > asyncPollAllocBudget {
-		t.Errorf("one poll generation allocates %v times, budget %d", allocs, asyncPollAllocBudget)
+	if allocs := testing.AllocsPerRun(20, generation); allocs != asyncPollAllocBudget {
+		t.Errorf("one poll generation allocates %v times, want exactly %d", allocs, asyncPollAllocBudget)
 	}
 }

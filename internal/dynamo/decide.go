@@ -50,8 +50,9 @@ type decider struct {
 	cfg        core.Config
 	staleAfter time.Duration
 	inj        *faults.Injector
-	grid       *grid.Policy // nil unless the grid signal plane is attached
-	stormQ     *storm.Queue // nil unless storm admission is armed
+	sched      *faults.Component // comp's crash schedule, resolved when inj is set
+	grid       *grid.Policy      // nil unless the grid signal plane is attached
+	stormQ     *storm.Queue      // nil unless storm admission is armed
 	down       bool
 	metrics    Metrics
 
@@ -67,10 +68,14 @@ func newDecider(host lifecycle, comp string, node *power.Node, mode Mode, cfg co
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	return decider{
+	d := decider{
 		host: host, comp: comp, node: node, mode: mode, cfg: cfg,
 		staleAfter: staleAfter, inj: inj, obsHandles: newObsHandles(sink, node.Name()),
 	}
+	if inj != nil {
+		d.sched = inj.Component(comp)
+	}
+	return d
 }
 
 // armStorm attaches a recharge-storm admission queue.
@@ -92,7 +97,7 @@ func (d *decider) Down() bool { return d.down }
 func (d *decider) up(now time.Duration) bool {
 	up := !d.down
 	if d.inj != nil {
-		up = d.inj.Up(d.comp, now)
+		up = d.sched.Up(now)
 	}
 	if !up && !d.down {
 		d.crash(now)

@@ -104,7 +104,7 @@ type Agent struct {
 	latency time.Duration
 
 	inj      *faults.Injector
-	comp     string
+	sched    *faults.Component // the agent's crash schedule, resolved by SetFaults
 	last     Snapshot
 	lastVer  uint64 // rack.Version() when last was taken (fault-free path)
 	haveLast bool
@@ -121,7 +121,7 @@ func NewAgent(r *rack.Rack, engine *sim.Engine, latency time.Duration) *Agent {
 	if latency > 0 && engine == nil {
 		panic(fmt.Errorf("dynamo: agent for %s has latency %v but no engine", r.Name(), latency))
 	}
-	a := &Agent{rack: r, engine: engine, latency: latency, comp: "agent/" + r.Name()}
+	a := &Agent{rack: r, engine: engine, latency: latency}
 	if engine != nil { // only an engine can defer a command
 		a.overrideLabel, a.heartbeatLabel = "override:"+r.Name(), "heartbeat:"+r.Name()
 		a.contact = r.ControllerContact
@@ -130,7 +130,12 @@ func NewAgent(r *rack.Rack, engine *sim.Engine, latency time.Duration) *Agent {
 }
 
 // SetFaults attaches a fault injector to the agent's read/override path.
-func (a *Agent) SetFaults(inj *faults.Injector) { a.inj = inj }
+func (a *Agent) SetFaults(inj *faults.Injector) {
+	a.inj, a.sched = inj, nil
+	if inj != nil {
+		a.sched = inj.Component(AgentEndpoint(a.rack.Name()))
+	}
+}
 
 // Rack returns the underlying rack.
 func (a *Agent) Rack() *rack.Rack { return a.rack }
@@ -168,7 +173,7 @@ func snapshotRack(r *rack.Rack, now time.Duration) Snapshot {
 // controller detects by comparing Taken against its staleness bound.
 func (a *Agent) Sample(now time.Duration) (Snapshot, bool) {
 	if a.inj != nil {
-		if !a.inj.Up(a.comp, now) || a.inj.DropRead() {
+		if !a.sched.Up(now) || a.inj.DropRead() {
 			return Snapshot{}, false
 		}
 		if a.haveLast && a.inj.StaleRead() {
@@ -209,7 +214,7 @@ func (a *Agent) Override(now time.Duration, i units.Current) bool {
 	var extra time.Duration
 	dup := false
 	if a.inj != nil {
-		if !a.inj.Up(a.comp, now) || a.inj.DropCommand() {
+		if !a.sched.Up(now) || a.inj.DropCommand() {
 			return false
 		}
 		if a.engine != nil {
@@ -229,11 +234,22 @@ func (a *Agent) Override(now time.Duration, i units.Current) bool {
 		}
 		return true
 	}
-	a.engine.PostAfter(delay, a.overrideLabel, apply)
+	a.post(extra, a.overrideLabel, apply)
 	if dup {
-		a.engine.PostAfter(delay, a.overrideLabel, apply)
+		a.post(extra, a.overrideLabel, apply)
 	}
 	return true
+}
+
+// post queues a deferred command after the settling latency plus an
+// injected extra delay. The latency recurs and takes an engine lane; a
+// delay with an injected extra is one-off and goes to the engine's heap.
+func (a *Agent) post(extra time.Duration, label string, t sim.Target) {
+	if extra == 0 {
+		a.engine.PostAfter(a.latency, label, t)
+		return
+	}
+	a.engine.Post(a.engine.Now()+a.latency+extra, label, t)
 }
 
 // Heartbeat delivers a controller-contact keepalive to the rack, feeding its
@@ -243,7 +259,7 @@ func (a *Agent) Override(now time.Duration, i units.Current) bool {
 func (a *Agent) Heartbeat(now time.Duration) bool {
 	var extra time.Duration
 	if a.inj != nil {
-		if !a.inj.Up(a.comp, now) || a.inj.DropCommand() {
+		if !a.sched.Up(now) || a.inj.DropCommand() {
 			return false
 		}
 		if a.engine != nil {
@@ -255,7 +271,7 @@ func (a *Agent) Heartbeat(now time.Duration) bool {
 		a.rack.ControllerContact(now)
 		return true
 	}
-	a.engine.PostAfter(delay, a.heartbeatLabel, a.contact)
+	a.post(extra, a.heartbeatLabel, a.contact)
 	return true
 }
 

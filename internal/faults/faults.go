@@ -192,10 +192,13 @@ type Counters struct {
 	ControllerOutages uint64
 }
 
-// schedule is the lazily extended alternating up/down timeline of one
-// component. Intervals are generated from the component's own source, so the
-// schedule depends only on (seed, component name).
-type schedule struct {
+// Component is one component's crash schedule, resolved once by name: the
+// lazily extended alternating up/down timeline, generated from the
+// component's own source so it depends only on (seed, component name), and
+// a cursor that answers monotone queries without a search. A nil *Component
+// is a component that never crashes.
+type Component struct {
+	in    *Injector
 	src   *rng.Source
 	agent bool // selects which outage counter to bump
 	// boundary i is the time at which the state flips; the component is up
@@ -203,39 +206,59 @@ type schedule struct {
 	// [boundaries[2k+1], boundaries[2k+2]).
 	boundaries []time.Duration
 	mtbf, mttr time.Duration
+	cur        int // the first boundary after the last query's time
 }
 
-func (s *schedule) extendTo(now time.Duration, counters *Counters) {
+func (c *Component) extendTo(now time.Duration) {
+	in := c.in
 	last := time.Duration(0)
-	if n := len(s.boundaries); n > 0 {
-		last = s.boundaries[n-1]
+	if n := len(c.boundaries); n > 0 {
+		last = c.boundaries[n-1]
 	}
 	for last <= now {
-		if len(s.boundaries)%2 == 0 {
-			up := s.src.ExpDuration(s.mtbf)
+		if len(c.boundaries)%2 == 0 {
+			up := c.src.ExpDuration(c.mtbf)
 			if up < time.Second {
 				up = time.Second
 			}
 			last += up
 		} else {
-			down := s.src.ExpDuration(s.mttr)
+			down := c.src.ExpDuration(c.mttr)
 			if down < time.Second {
 				down = time.Second
 			}
 			last += down
-			if s.agent {
-				counters.AgentOutages++
+			if c.agent {
+				in.counters.AgentOutages++
+				in.cAgentOutages.Inc()
 			} else {
-				counters.ControllerOutages++
+				in.counters.ControllerOutages++
+				in.cControllerOutages.Inc()
 			}
 		}
-		s.boundaries = append(s.boundaries, last)
+		c.boundaries = append(c.boundaries, last)
 	}
 }
 
-func (s *schedule) up(now time.Duration) bool {
-	// Find the first boundary strictly after now; even index = up interval.
-	i := sort.Search(len(s.boundaries), func(i int) bool { return s.boundaries[i] > now })
+// Up reports whether the component is alive at virtual time now. A query at
+// or after the previous one moves the cursor forward, O(1) amortised; an
+// earlier one searches the boundaries behind it.
+func (c *Component) Up(now time.Duration) bool {
+	if c == nil {
+		return true
+	}
+	if n := len(c.boundaries); n == 0 || c.boundaries[n-1] <= now {
+		c.extendTo(now)
+	}
+	i := c.cur
+	if i > 0 && c.boundaries[i-1] > now {
+		i = sort.Search(i, func(j int) bool { return c.boundaries[j] > now })
+	}
+	for c.boundaries[i] <= now {
+		i++
+	}
+	c.cur = i
+	// An even index opens an up interval.
 	return i%2 == 0
 }
 
@@ -244,7 +267,7 @@ func (s *schedule) up(now time.Duration) bool {
 type Injector struct {
 	cfg      Config
 	draws    *rng.Source // per-decision Bernoulli draws, consumed in call order
-	comps    map[string]*schedule
+	comps    map[string]*Component
 	counters Counters
 
 	// Mirrored observability counters (nil when no sink is attached).
@@ -262,7 +285,7 @@ func New(cfg Config) *Injector {
 	return &Injector{
 		cfg:   cfg,
 		draws: rng.New(cfg.Seed ^ 0x5eedfa17),
-		comps: make(map[string]*schedule),
+		comps: make(map[string]*Component),
 	}
 }
 
@@ -351,37 +374,37 @@ func (in *Injector) CommandDelay() time.Duration {
 	return time.Duration(in.draws.Uniform(0, float64(in.cfg.CommandDelayMax)))
 }
 
-// Up reports whether the named component is alive at virtual time now.
-// Components named "agent/..." follow the agent crash parameters; components
-// named "leaf/...", "ctl/...", or "controller/..." follow the controller
-// parameters. Unknown prefixes never crash. The per-component schedule is
-// deterministic in (seed, name) and monotonic queries are O(1) amortised.
-func (in *Injector) Up(component string, now time.Duration) bool {
-	mtbf, mttr, agent := in.paramsFor(component)
+// Component resolves a component's crash schedule by name, nil for one that
+// never crashes. Components named "agent/..." follow the agent crash
+// parameters; components named "leaf/...", "ctl/...", or "controller/..."
+// follow the controller parameters. Unknown prefixes never crash. Every
+// resolution of one name shares one schedule, deterministic in (seed,
+// name), so a caller that polls a component resolves it once.
+func (in *Injector) Component(name string) *Component {
+	mtbf, mttr, agent := in.paramsFor(name)
 	if mtbf <= 0 {
-		return true
+		return nil
 	}
-	s := in.comps[component]
-	if s == nil {
+	c := in.comps[name]
+	if c == nil {
 		h := fnv.New64a()
-		h.Write([]byte(component))
-		s = &schedule{
+		h.Write([]byte(name))
+		c = &Component{
+			in:    in,
 			src:   rng.New(in.cfg.Seed ^ int64(h.Sum64())),
 			agent: agent,
 			mtbf:  mtbf,
 			mttr:  mttr,
 		}
-		in.comps[component] = s
+		in.comps[name] = c
 	}
-	before := in.counters
-	s.extendTo(now, &in.counters)
-	if d := in.counters.AgentOutages - before.AgentOutages; d > 0 {
-		in.cAgentOutages.Add(int64(d))
-	}
-	if d := in.counters.ControllerOutages - before.ControllerOutages; d > 0 {
-		in.cControllerOutages.Add(int64(d))
-	}
-	return s.up(now)
+	return c
+}
+
+// Up reports whether the named component is alive at virtual time now; it
+// is Component(component).Up(now).
+func (in *Injector) Up(component string, now time.Duration) bool {
+	return in.Component(component).Up(now)
 }
 
 func (in *Injector) paramsFor(component string) (mtbf, mttr time.Duration, agent bool) {

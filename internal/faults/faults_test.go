@@ -1,8 +1,11 @@
 package faults
 
 import (
+	"sort"
 	"testing"
 	"time"
+
+	"coordcharge/internal/rng"
 )
 
 func TestValidate(t *testing.T) {
@@ -180,4 +183,51 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 		}
 	}()
 	New(Config{CommandLoss: 2})
+}
+
+// A resolved handle answers exactly as the name-keyed Up of a fresh
+// injector, with equal counters, whether queries move forward or jump back;
+// its cursor agrees with a search over the boundaries generated so far.
+func TestComponentMatchesNameKeyedUp(t *testing.T) {
+	names := []string{"agent/rack001", "agent/rack002", "leaf/rpp0", "ctl/msb", "controller/sb1", "misc/thing"}
+	for seed := int64(1); seed <= 6; seed++ {
+		cfg := Default()
+		cfg.Seed = seed
+		cfg.AgentMTBF, cfg.ControllerMTBF = 10*time.Minute, 5*time.Minute
+		handles, byName := New(cfg), New(cfg)
+		comps := make([]*Component, len(names))
+		for i, n := range names {
+			comps[i] = handles.Component(n)
+		}
+		if comps[0] != handles.Component(names[0]) || comps[len(names)-1] != nil {
+			t.Fatal("Component must share one schedule per name and be nil for a component that never crashes")
+		}
+		draw := rng.New(seed)
+		now := time.Duration(0)
+		for q := 0; q < 4000; q++ {
+			if q%40 == 39 {
+				now = time.Duration(draw.Float64() * float64(now)) // jump back
+			} else {
+				now += time.Duration(draw.Float64() * float64(45*time.Second))
+			}
+			for i, n := range names {
+				up := comps[i].Up(now)
+				if want := byName.Up(n, now); up != want {
+					t.Fatalf("seed %d query %d: %s Up(%v) = %t, name-keyed %t", seed, q, n, now, up, want)
+				}
+				if c := comps[i]; c != nil {
+					j := sort.Search(len(c.boundaries), func(j int) bool { return c.boundaries[j] > now })
+					if up != (j%2 == 0) {
+						t.Fatalf("seed %d query %d: %s cursor says %t, search %t", seed, q, n, up, j%2 == 0)
+					}
+				}
+			}
+			if handles.Counters() != byName.Counters() {
+				t.Fatalf("seed %d query %d: counters %+v vs name-keyed %+v", seed, q, handles.Counters(), byName.Counters())
+			}
+		}
+		if c := handles.Counters(); c.AgentOutages == 0 || c.ControllerOutages == 0 {
+			t.Errorf("seed %d: no outages generated: %+v", seed, c)
+		}
+	}
 }

@@ -161,7 +161,10 @@ type CoordSpec struct {
 	Interrupt func() bool
 	// HardStop, when non-nil, is polled before every tick; returning true
 	// aborts the run abruptly — no final checkpoint, ErrAborted returned —
-	// simulating a SIGKILL for the kill-and-resume chaos harness.
+	// simulating a SIGKILL for the kill-and-resume chaos harness. A fresh
+	// engine-backed run also polls it, with the window start, before each
+	// virtual minute of its pre-roll, so a request deadline can cut a long
+	// set-up short; a resume's pre-roll, like its replay, polls nothing.
 	HardStop func(now time.Duration) bool
 }
 
@@ -324,8 +327,8 @@ type CoordResult struct {
 }
 
 // ErrAborted is returned by RunCoordinated when Spec.HardStop fires: the run
-// stopped mid-tick-loop without writing a final checkpoint, exactly as a
-// killed process would.
+// stopped in its pre-roll or mid-tick-loop without writing a final
+// checkpoint, exactly as a killed process would.
 var ErrAborted = errors.New("scenario: run aborted")
 
 // RunCoordinated executes one MSB-level experiment. With Spec.Resume set it
@@ -639,9 +642,19 @@ func newCoordRunAt(spec CoordSpec, place func(*coordRun) (scope *power.Node, at 
 	}
 	start := at - spec.PreRoll
 	if engine != nil && start > 0 {
-		// Pre-advance the engine clock to the window start.
+		// Pre-advance the engine clock to the window start, which runs every
+		// poller from time zero, in slices of a virtual minute: Run stops
+		// after the events due at a slice's end, so the slices run exactly
+		// the events one Run(start) would, and HardStop gets a say between
+		// them.
 		engine.ScheduleAt(start, "start", func(time.Duration) {})
-		engine.Run(start)
+		for t := engine.Now(); t < start; {
+			if spec.HardStop != nil && spec.Resume == "" && spec.HardStop(start) {
+				return nil, ErrAborted
+			}
+			t = min(t+time.Minute, start)
+			engine.Run(t)
+		}
 	}
 	cr.scope, cr.transLen = scope, transLen
 	cr.start, cr.loseAt, cr.restoreAt = start, at, at+transLen

@@ -1,7 +1,10 @@
 package scenario
 
 import (
+	"errors"
 	"math"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -104,5 +107,47 @@ func TestDistributedWithSettleLatency(t *testing.T) {
 	}
 	if total < 20 {
 		t.Errorf("SLAs met = %d/30", total)
+	}
+}
+
+// The message plane's pre-roll — every poller run from time zero to the
+// window start — polls HardStop with the window start before each virtual
+// minute, so a deadline aborts a distributed set-up: ErrAborted, no
+// checkpoint written, and only as many slices run as HardStop allowed.
+func TestDistributedPreRollAborts(t *testing.T) {
+	spec := smallSpec(dynamo.ModePriorityAware, charger.Variable{}, 225, 0.5)
+	spec.Distributed = true
+	spec.Checkpoint = filepath.Join(t.TempDir(), "run.ckpt")
+	var polls []time.Duration
+	spec.HardStop = func(now time.Duration) bool {
+		polls = append(polls, now)
+		return len(polls) == 3
+	}
+	if _, err := RunCoordinated(spec); !errors.Is(err, ErrAborted) {
+		t.Fatalf("err = %v, want ErrAborted", err)
+	}
+	if _, err := os.Stat(spec.Checkpoint); !os.IsNotExist(err) {
+		t.Errorf("an aborted set-up left a checkpoint: %v", err)
+	}
+	if len(polls) != 3 || polls[0] != polls[2] || polls[0] < time.Hour {
+		t.Fatalf("HardStop polled at %v, want the window start three times", polls)
+	}
+	// Unaborted, the pre-roll polls once a virtual minute and the window's
+	// first tick polls with the same window start: a kill offset measured
+	// from the first poll still counts from the window start.
+	polls = polls[:0]
+	spec.HardStop = func(now time.Duration) bool {
+		polls = append(polls, now)
+		return len(polls) > 1 && now > polls[0]
+	}
+	if _, err := RunCoordinated(spec); !errors.Is(err, ErrAborted) {
+		t.Fatalf("err = %v, want ErrAborted at the second window tick", err)
+	}
+	start := polls[0]
+	if minutes := int((start + time.Minute - 1) / time.Minute); len(polls) != minutes+2 {
+		t.Errorf("%d polls over a %v pre-roll, want one per started minute (%d) plus two ticks", len(polls), start, minutes)
+	}
+	if polls[len(polls)-2] != start || polls[len(polls)-1] <= start {
+		t.Errorf("window ticks polled at %v, want %v then the next tick", polls[len(polls)-2:], start)
 	}
 }

@@ -32,6 +32,7 @@ type Target interface {
 
 // Event is a scheduled target. ScheduleAt and its relatives return it so the
 // caller can cancel it; Post's events have no handle and are recycled.
+// PostAfter's events live in FIFO lanes instead (see lane).
 type Event struct {
 	at        time.Duration
 	seq       uint64 // tie-break: FIFO among events at the same instant
@@ -57,11 +58,62 @@ func before(a, b *Event) bool {
 	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-// Engine is the simulation driver: a virtual clock plus a pending-event
-// queue. The zero value is not usable; construct with NewEngine.
+// maxLanes bounds the FIFO lanes an engine keeps. A message plane posts
+// after a handful of recurring delays (network latency, the poll deadline,
+// command settling); a delay beyond the first maxLanes goes to the heap.
+const maxLanes = 4
+
+// lane holds the PostAfter events of one delay in a ring buffer. The clock
+// never goes back and seq only grows, so events appended now+delay are in
+// (at, seq) order by construction: a lane needs no sifting, and its head is
+// its least event.
+type lane struct {
+	delay   time.Duration
+	buf     []laneEvent
+	head, n int
+}
+
+// laneEvent is a pending PostAfter event, held by value in its lane. The
+// ring's length is a power of two, so positions wrap with a mask.
+type laneEvent struct {
+	at     time.Duration
+	seq    uint64
+	target Target
+	label  string
+}
+
+func (l *lane) push(ev laneEvent) {
+	if l.n == len(l.buf) {
+		grown := make([]laneEvent, max(8, 2*len(l.buf)))
+		for i := 0; i < l.n; i++ {
+			grown[i] = l.at(i)
+		}
+		l.buf, l.head = grown, 0
+	}
+	l.buf[(l.head+l.n)&(len(l.buf)-1)] = ev
+	l.n++
+}
+
+// at returns the lane's i-th pending event, counting from the head.
+func (l *lane) at(i int) laneEvent { return l.buf[(l.head+i)&(len(l.buf)-1)] }
+
+func (l *lane) pop() laneEvent {
+	ev := l.buf[l.head]
+	l.buf[l.head] = laneEvent{}
+	l.head = (l.head + 1) & (len(l.buf) - 1)
+	l.n--
+	return ev
+}
+
+// Engine is the simulation driver: a virtual clock plus the pending events,
+// held in a binary heap and in FIFO lanes. Every event carries a schedule
+// seq, and Step always runs the least (at, seq) across both, so where an
+// event waits never changes the order events run in. The zero value is not
+// usable; construct with NewEngine.
 type Engine struct {
 	now    time.Duration
 	queue  []*Event // binary min-heap under before
+	lanes  []lane   // PostAfter events, one lane per delay
 	free   []*Event // fired Post events awaiting reuse
 	seq    uint64
 	count  uint64 // events executed
@@ -84,7 +136,13 @@ func (e *Engine) Executed() uint64 { return e.count }
 func (e *Engine) Seq() uint64 { return e.seq }
 
 // Pending returns the number of events still queued.
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int {
+	n := len(e.queue)
+	for i := range e.lanes {
+		n += e.lanes[i].n
+	}
+	return n
+}
 
 // NextAt returns the virtual time of the earliest pending event and whether
 // one exists (Cancel removes events from the heap, so everything resident is
@@ -92,10 +150,28 @@ func (e *Engine) Pending() int { return len(e.queue) }
 // the next deadline, advances analytically up to it, and lets Run execute
 // the batch of events due at that instant.
 func (e *Engine) NextAt() (time.Duration, bool) {
-	if len(e.queue) == 0 {
-		return 0, false
+	at, _, ok := e.peek()
+	return at, ok
+}
+
+// peek finds the least pending event: its time, and the lane holding it or
+// -1 for the heap.
+func (e *Engine) peek() (at time.Duration, from int, ok bool) {
+	var seq uint64
+	from = -1
+	if len(e.queue) > 0 {
+		at, seq, ok = e.queue[0].at, e.queue[0].seq, true
 	}
-	return e.queue[0].at, true
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		if l.n == 0 {
+			continue
+		}
+		if h := &l.buf[l.head]; !ok || h.at < at || h.at == at && h.seq < seq {
+			at, seq, from, ok = h.at, h.seq, i, true
+		}
+	}
+	return at, from, ok
 }
 
 // EventView is the inspectable projection of a pending event: its deadline
@@ -108,10 +184,19 @@ type EventView struct {
 
 // Snapshot returns the pending events as views in deterministic execution
 // order (at, then schedule seq). It allocates a fresh slice and never
-// perturbs the heap.
+// perturbs the queue.
 func (e *Engine) Snapshot() []EventView {
-	pending := slices.Clone(e.queue)
-	slices.SortFunc(pending, func(a, b *Event) int {
+	pending := make([]laneEvent, 0, e.Pending())
+	for _, ev := range e.queue {
+		pending = append(pending, laneEvent{at: ev.at, seq: ev.seq, label: ev.label})
+	}
+	for i := range e.lanes {
+		l := &e.lanes[i]
+		for j := 0; j < l.n; j++ {
+			pending = append(pending, l.at(j))
+		}
+	}
+	slices.SortFunc(pending, func(a, b laneEvent) int {
 		if c := cmp.Compare(a.at, b.at); c != 0 {
 			return c
 		}
@@ -162,9 +247,28 @@ func (e *Engine) Post(at time.Duration, label string, t Target) {
 	e.push(ev, at, label, t)
 }
 
-// PostAfter posts t to fire d after the current virtual time.
+// PostAfter posts t to fire d after the current virtual time, ordered
+// exactly as Post would order it. Events posted after the same delay share a
+// FIFO lane, so a recurring delay (a link's latency, a deadline, command
+// settling) costs no heap sift; pass a one-off delay to Post instead, so it
+// does not take a lane.
 func (e *Engine) PostAfter(d time.Duration, label string, t Target) {
-	e.Post(e.now+d, label, t)
+	at := e.now + d
+	e.checkAt(at, label)
+	for i := range e.lanes {
+		if l := &e.lanes[i]; l.delay == d {
+			l.push(laneEvent{at: at, seq: e.seq, target: t, label: label})
+			e.seq++
+			return
+		}
+	}
+	if len(e.lanes) == maxLanes {
+		e.Post(at, label, t)
+		return
+	}
+	e.lanes = append(e.lanes, lane{delay: d})
+	e.lanes[len(e.lanes)-1].push(laneEvent{at: at, seq: e.seq, target: t, label: label})
+	e.seq++
 }
 
 func (e *Engine) checkAt(at time.Duration, label string) {
@@ -261,7 +365,8 @@ type Ticker struct {
 	engine *Engine
 	period time.Duration
 	fn     Handler
-	next   *Event
+	label  string
+	ev     *Event // the one event every period reuses
 	done   bool
 }
 
@@ -271,36 +376,51 @@ func (e *Engine) Every(period time.Duration, label string, fn Handler) *Ticker {
 	if period <= 0 {
 		panic(fmt.Errorf("sim: non-positive ticker period %v (%s)", period, label))
 	}
-	t := &Ticker{engine: e, period: period, fn: fn}
-	var tick Handler
-	tick = func(now time.Duration) {
-		if t.done {
-			return
-		}
-		t.fn(now)
-		if !t.done {
-			t.next = e.ScheduleAfter(t.period, label, tick)
-		}
-	}
-	t.next = e.ScheduleAfter(period, label, tick)
+	t := &Ticker{engine: e, period: period, fn: fn, label: label, ev: &Event{}}
+	e.push(t.ev, e.now+period, label, Handler(t.tick))
 	return t
+}
+
+// tick runs one period and queues the ticker's event for the next, exactly
+// where a fresh ScheduleAfter would have put it.
+func (t *Ticker) tick(now time.Duration) {
+	if t.done {
+		return
+	}
+	t.fn(now)
+	if !t.done {
+		t.engine.push(t.ev, now+t.period, t.label, t.ev.target)
+	}
 }
 
 // Stop cancels future ticks. The current tick, if executing, completes.
 func (t *Ticker) Stop() {
 	t.done = true
-	t.engine.Cancel(t.next)
+	t.engine.Cancel(t.ev)
 }
 
 // Step executes the next pending event, advancing the clock to its time.
 // It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
-		return false
+	_, from, ok := e.peek()
+	if ok {
+		e.fire(from)
+	}
+	return ok
+}
+
+// fire runs the least pending event, found by peek in lane from (-1: the
+// heap).
+func (e *Engine) fire(from int) {
+	e.count++
+	if from >= 0 {
+		ev := e.lanes[from].pop()
+		e.now = ev.at
+		ev.target.Fire(e.now)
+		return
 	}
 	ev := e.remove(0)
 	e.now = ev.at
-	e.count++
 	t := ev.target
 	if ev.posted {
 		// Nothing outside the engine refers to a posted event: recycle it
@@ -309,7 +429,6 @@ func (e *Engine) Step() bool {
 		e.free = append(e.free, ev)
 	}
 	t.Fire(e.now)
-	return true
 }
 
 // Halt stops a Run in progress after the current event completes.
@@ -323,13 +442,14 @@ func (e *Engine) Halt() { e.halted = true }
 func (e *Engine) Run(until time.Duration) time.Duration {
 	e.halted = false
 	for !e.halted {
-		if len(e.queue) == 0 || e.queue[0].at > until {
+		at, from, ok := e.peek()
+		if !ok || at > until {
 			if until > e.now {
 				e.now = until
 			}
 			return e.now
 		}
-		e.Step()
+		e.fire(from)
 	}
 	return e.now
 }

@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -350,5 +353,233 @@ func TestPostStepAllocatesNothing(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Post→Step allocates %v times, want 0", allocs)
+	}
+}
+
+// Every reuses its one event: a steady-state period allocates nothing.
+func TestEveryAllocatesNothing(t *testing.T) {
+	e := NewEngine()
+	n := 0
+	e.Every(time.Second, "tick", func(time.Duration) { n++ })
+	allocs := testing.AllocsPerRun(100, func() { e.Step() })
+	if allocs != 0 {
+		t.Errorf("a ticker period allocates %v times, want 0", allocs)
+	}
+	if n != 101 {
+		t.Errorf("ticks = %d, want 101", n)
+	}
+}
+
+// refEvent is one pending event of the reference queue the lane property
+// test checks the engine against.
+type refEvent struct {
+	at     time.Duration
+	seq    uint64
+	label  string
+	handle *Event    // ScheduleAt/ScheduleAfter events, for Cancel
+	tick   *refTimer // a ticker's event
+}
+
+// refTimer is a ticker in the reference: it re-arms after each firing until
+// it has fired left times or is stopped.
+type refTimer struct {
+	period time.Duration
+	label  string
+	left   int
+	t      *Ticker
+}
+
+// refQueue is a plain list run in (at, seq) order: what the engine's heap and
+// lanes together must reproduce.
+type refQueue struct {
+	now     time.Duration
+	seq     uint64
+	pending []refEvent
+	fired   []EventView
+	halted  bool
+}
+
+func (q *refQueue) add(ev refEvent) {
+	ev.seq = q.seq
+	q.seq++
+	q.pending = append(q.pending, ev)
+}
+
+func (q *refQueue) least() int {
+	best := -1
+	for i, ev := range q.pending {
+		if best < 0 || ev.at < q.pending[best].at || ev.at == q.pending[best].at && ev.seq < q.pending[best].seq {
+			best = i
+		}
+	}
+	return best
+}
+
+// step fires the least event, as Engine.Step does.
+func (q *refQueue) step() bool {
+	i := q.least()
+	if i < 0 {
+		return false
+	}
+	ev := q.pending[i]
+	q.pending = slices.Delete(q.pending, i, i+1)
+	q.now = ev.at
+	q.fired = append(q.fired, EventView{At: ev.at, Label: ev.label})
+	if strings.HasPrefix(ev.label, "halt") {
+		q.halted = true
+	}
+	if tm := ev.tick; tm != nil {
+		if tm.left--; tm.left > 0 {
+			q.add(refEvent{at: ev.at + tm.period, label: tm.label, tick: tm})
+		}
+	}
+	return true
+}
+
+func (q *refQueue) run(until time.Duration) {
+	q.halted = false
+	for !q.halted {
+		i := q.least()
+		if i < 0 || q.pending[i].at > until {
+			q.now = max(q.now, until)
+			return
+		}
+		q.step()
+	}
+}
+
+func (q *refQueue) view() []EventView {
+	sorted := slices.Clone(q.pending)
+	slices.SortFunc(sorted, func(a, b refEvent) int {
+		if c := cmp.Compare(a.at, b.at); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	views := make([]EventView, len(sorted))
+	for i, ev := range sorted {
+		views[i] = EventView{At: ev.at, Label: ev.label}
+	}
+	return views
+}
+
+// Random interleavings of every scheduling call, run against the engine and
+// against a reference that keeps one list in (at, seq) order, fire the same
+// (at, label) sequence and agree on Pending, NextAt and Snapshot after every
+// operation. PostAfter draws from six recurring delays, more than the engine
+// has lanes, and from one-off delays, so lane overflow into the heap and
+// lanes mixed with heap events at the same instant are both exercised.
+func TestLanesMatchReferenceProperty(t *testing.T) {
+	recurring := []time.Duration{0, 10 * time.Millisecond, 2 * time.Second, 2400 * time.Millisecond, 3 * time.Second, 20 * time.Second}
+	prop := func(ops []uint32) bool {
+		e := NewEngine()
+		ref := &refQueue{}
+		var handles []*Event
+		var timers []*refTimer
+		record := func(label string) Handler {
+			return func(now time.Duration) {
+				if strings.HasPrefix(label, "halt") {
+					e.Halt()
+				}
+			}
+		}
+		var fired []EventView
+		note := func(label string, h Handler) Handler {
+			return func(now time.Duration) {
+				fired = append(fired, EventView{At: now, Label: label})
+				h(now)
+			}
+		}
+		for k, op := range ops {
+			arg := time.Duration(op>>8) % 5000 * time.Millisecond
+			label := fmt.Sprintf("e%d", k)
+			if op&0x40 != 0 {
+				label = "halt" + label
+			}
+			switch op % 11 {
+			case 0:
+				at := e.Now() + arg
+				ev := e.ScheduleAt(at, label, note(label, record(label)))
+				handles = append(handles, ev)
+				ref.add(refEvent{at: at, label: label, handle: ev})
+			case 1:
+				ev := e.ScheduleAfter(arg, label, note(label, record(label)))
+				handles = append(handles, ev)
+				ref.add(refEvent{at: ref.now + arg, label: label, handle: ev})
+			case 2:
+				e.Post(e.Now()+arg, label, note(label, record(label)))
+				ref.add(refEvent{at: ref.now + arg, label: label})
+			case 3, 4, 5:
+				d := recurring[int(op>>8)%len(recurring)]
+				e.PostAfter(d, label, note(label, record(label)))
+				ref.add(refEvent{at: ref.now + d, label: label})
+			case 6:
+				e.PostAfter(arg+time.Nanosecond, label, note(label, record(label))) // a one-off delay
+				ref.add(refEvent{at: ref.now + arg + time.Nanosecond, label: label})
+			case 7:
+				if len(handles) > 0 {
+					h := handles[int(op>>8)%len(handles)]
+					e.Cancel(h)
+					ref.pending = slices.DeleteFunc(ref.pending, func(ev refEvent) bool { return ev.handle == h })
+				}
+			case 8:
+				tm := &refTimer{period: arg%(4*time.Second) + time.Second, label: label, left: 1 + int(op>>20)%4}
+				left := tm.left
+				var tk *Ticker
+				tk = e.Every(tm.period, label, note(label, func(now time.Duration) {
+					if strings.HasPrefix(label, "halt") {
+						e.Halt()
+					}
+					if left--; left == 0 {
+						tk.Stop()
+					}
+				}))
+				tm.t = tk
+				timers = append(timers, tm)
+				ref.add(refEvent{at: ref.now + tm.period, label: label, tick: tm})
+			case 9:
+				if len(timers) > 0 {
+					tm := timers[int(op>>8)%len(timers)]
+					tm.t.Stop()
+					tm.left = 0
+					ref.pending = slices.DeleteFunc(ref.pending, func(ev refEvent) bool { return ev.tick == tm })
+				}
+			case 10:
+				if op&0x80 != 0 {
+					e.Step()
+					ref.step()
+				} else {
+					until := e.Now() + arg
+					e.Run(until)
+					ref.run(until)
+				}
+			}
+			if e.Now() != ref.now || e.Seq() != ref.seq || e.Pending() != len(ref.pending) {
+				t.Logf("op %d: now %v/%v seq %d/%d pending %d/%d", k, e.Now(), ref.now, e.Seq(), ref.seq, e.Pending(), len(ref.pending))
+				return false
+			}
+			want := ref.view()
+			if at, ok := e.NextAt(); ok != (len(want) > 0) || ok && at != want[0].At {
+				t.Logf("op %d: NextAt %v, %t; want %v", k, at, ok, want)
+				return false
+			}
+			if got := e.Snapshot(); fmt.Sprint(got) != fmt.Sprint(want) {
+				t.Logf("op %d: snapshot %v, want %v", k, got, want)
+				return false
+			}
+		}
+		for e.Pending() > 0 {
+			e.RunAll() // a halt label stops RunAll too
+		}
+		for ref.step() {
+		}
+		if fmt.Sprint(fired) != fmt.Sprint(ref.fired) {
+			t.Logf("fired %v, want %v", fired, ref.fired)
+			return false
+		}
+		return e.Executed() == uint64(len(ref.fired))
+	}
+	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
+		t.Error(err)
 	}
 }

@@ -44,12 +44,6 @@ const (
 	MaxHorizon = 48 * time.Hour
 	// MaxLimitMW bounds a requested MSB breaker limit.
 	MaxLimitMW = 1000.0
-	// MaxDistributedRacks bounds a distributed API request, which holds a
-	// worker through a set-up its deadline cannot abort: the message plane
-	// advances every poller to the window start first. At step_s 1 that took
-	// up to 7.3 s for 64 racks and nearly two minutes for 1024 (2-core Xeon).
-	// The resident sets up outside the worker pool and is not held to it.
-	MaxDistributedRacks = 64
 )
 
 // maxSeconds is the longest duration field a request may carry: whole
@@ -242,8 +236,8 @@ func PaperRun() RunRequest {
 	}
 }
 
-// DecodeRunRequest strictly decodes one run request and applies Validate,
-// the service caps and MaxDistributedRacks.
+// DecodeRunRequest strictly decodes one run request and applies Validate and
+// the service caps.
 func DecodeRunRequest(r io.Reader) (*RunRequest, error) {
 	var q RunRequest
 	if err := decodeStrict(r, &q); err != nil {
@@ -251,9 +245,6 @@ func DecodeRunRequest(r io.Reader) (*RunRequest, error) {
 	}
 	if err := q.validateCapped(); err != nil {
 		return nil, err
-	}
-	if q.Distributed && q.P1+q.P2+q.P3 > MaxDistributedRacks {
-		return nil, fmt.Errorf("svc: distributed runs are capped at %d racks", MaxDistributedRacks)
 	}
 	return &q, nil
 }

@@ -57,8 +57,8 @@ var runRows = []requestRow{
 	{"negative latency", `{"p1":1,"avg_dod":0.5,"latency_s":-1}`, false},
 	{"latency wraps the clock", `{"p1":3,"p2":3,"p3":3,"avg_dod":0.5,"limit_mw":0.08,"latency_s":9223372036}`, false},
 	{"latency one hour", `{"p1":3,"p2":3,"p3":3,"avg_dod":0.5,"limit_mw":0.08,"latency_s":3600}`, true},
-	{"distributed at cap", `{"p1":30,"p2":30,"p3":4,"avg_dod":0.5,"distributed":true}`, true},
-	{"distributed over cap", `{"p1":30,"p2":30,"p3":5,"avg_dod":0.5,"distributed":true}`, false},
+	{"distributed at cap", `{"p1":342,"p2":341,"p3":341,"avg_dod":0.5,"distributed":true}`, true},
+	{"distributed over cap", `{"p1":342,"p2":342,"p3":341,"avg_dod":0.5,"distributed":true}`, false},
 	{"rack sum wraps", `{"p1":9223372036854775807,"p2":9223372036854775807,"p3":3,"avg_dod":0.5}`, false},
 	{"series not on the wire", `{"p1":1,"avg_dod":0.5,"GridCap":{}}`, false},
 }

@@ -97,11 +97,6 @@ func FuzzRunRequest(f *testing.F) {
 		if err != nil {
 			t.Fatalf("validated request failed to lower: %v", err)
 		}
-		if spec.Distributed {
-			// The message plane's pre-roll costs about a second per 30-rack
-			// set-up, more for larger fleets: too slow to fuzz through.
-			return
-		}
 		spec.HardStop = func(time.Duration) bool { return true }
 		if _, err := scenario.RunCoordinated(spec); !errors.Is(err, scenario.ErrAborted) {
 			t.Fatalf("validated request %s failed to set up: %v", data, err)

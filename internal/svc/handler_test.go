@@ -204,6 +204,27 @@ func TestRequestDeadlineAborts504(t *testing.T) {
 	}
 }
 
+// A distributed run's set-up advances every poller to the window start,
+// which at 1024 racks and a 1 s step takes minutes; the pre-roll polls the
+// request deadline, so the run answers 504 about when the deadline expires,
+// and the abort leaves the breaker closed.
+func TestDistributedRunDeadlineAborts504(t *testing.T) {
+	s := newTestService(t, Options{RequestTimeout: time.Second})
+	began := time.Now()
+	w := do(s.Handler(), http.MethodPost, "/api/v1/run",
+		`{"p1":342,"p2":341,"p3":341,"avg_dod":0.5,"step_s":1,"distributed":true}`)
+	elapsed := time.Since(began)
+	if w.Code != http.StatusGatewayTimeout {
+		t.Fatalf("status = %d: %s, want 504", w.Code, w.Body)
+	}
+	if elapsed > 15*time.Second {
+		t.Errorf("504 after %v; the set-up ignored its 1 s deadline", elapsed)
+	}
+	if st, _ := s.brk.State(); st != BreakerClosed {
+		t.Errorf("breaker = %v after deadline abort, want closed", st)
+	}
+}
+
 // TestUnexecutableRequestsAre400 sends bodies that parse but that no run or
 // sizing could execute — sub-second sampling sized past memory, an outage
 // that converts to 0 ns, an override latency whose due time wraps the
