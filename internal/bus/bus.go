@@ -93,7 +93,7 @@ type Bus struct {
 type interned struct{ kind, s string }
 
 // lookup returns the string interned for kind in list, making it with mk
-// on first use. A node's kinds are few, so a scan beats hashing.
+// on first use. An endpoint sees few kinds, so a scan beats hashing.
 func lookup(list *[]interned, kind string, mk func() string) string {
 	for i := range *list {
 		if (*list)[i].kind == kind {
@@ -114,9 +114,6 @@ type Endpoint struct {
 	h      Handler
 	labels []interned
 }
-
-// Name returns the endpoint's name.
-func (ep *Endpoint) Name() string { return ep.name }
 
 // label returns the interned "bus:<kind>:<name>" delivery-event label.
 func (ep *Endpoint) label(kind string) string {
@@ -176,8 +173,7 @@ func (b *Bus) Send(from, to, kind string, payload any) {
 // model's delay. Messages to unregistered endpoints are counted as dropped
 // (a controller may poll an agent that has been decommissioned).
 func (b *Bus) SendTo(from, to *Endpoint, kind string, payload any) {
-	m := b.message(from, to, kind, payload)
-	b.dispatch(m)
+	b.dispatch(b.message(from, to, kind, payload))
 }
 
 // Request dispatches a request by endpoint names; see RequestTo.

@@ -63,18 +63,18 @@ func before(a, b *Event) bool {
 // command settling); a delay beyond the first maxLanes goes to the heap.
 const maxLanes = 4
 
-// lane holds the PostAfter events of one delay in a ring buffer. The clock
-// never goes back and seq only grows, so events appended now+delay are in
-// (at, seq) order by construction: a lane needs no sifting, and its head is
-// its least event.
+// lane holds the PostAfter events of one delay in a ring buffer whose length
+// is a power of two, so positions wrap with a mask. The clock never goes
+// back and seq only grows, so events appended at now+delay are in (at, seq)
+// order by construction: a lane needs no sifting, and its head is its least
+// event.
 type lane struct {
 	delay   time.Duration
 	buf     []laneEvent
 	head, n int
 }
 
-// laneEvent is a pending PostAfter event, held by value in its lane. The
-// ring's length is a power of two, so positions wrap with a mask.
+// laneEvent is a pending PostAfter event, held by value in its lane.
 type laneEvent struct {
 	at     time.Duration
 	seq    uint64
