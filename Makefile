@@ -9,10 +9,6 @@ BENCH_BASELINE ?= BENCH_PR20.json
 BENCH_TOLERANCE ?= 25
 # Benchmarks cheaper than this (ns/op in the baseline) are reported but not
 # gated: at one measured iteration their timing is scheduler noise.
-# Every benchmark runs BENCH_COUNT one-iteration passes; benchjson folds them
-# to their medians, so one noisy pass neither sets the baseline nor fails the
-# gate.
-BENCH_COUNT ?= 3
 BENCH_FLOOR ?= 10000000
 # Absolute floor on the event kernel: every X/event benchmark must run at
 # least this many times faster than its X/dense sibling. Unlike the relative
@@ -67,17 +63,18 @@ test-race:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# BENCH_COUNT passes over every benchmark, archived at their medians as
-# machine-readable JSON with B/op and allocs/op beside ns/op.
+# Three one-iteration passes over every benchmark, folded to their medians
+# so one noisy pass cannot set the baseline, and archived as machine-readable
+# JSON with B/op and allocs/op beside ns/op.
 # Override the destination per snapshot: make bench-json BENCH_OUT=BENCH_PR7.json
 bench-json:
-	$(GO) test -bench=. -benchtime=1x -count=$(BENCH_COUNT) -benchmem -run='^$$' ./... | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
+	$(GO) test -bench=. -benchtime=1x -count=3 -benchmem -run='^$$' ./... | $(GO) run ./cmd/benchjson -out $(BENCH_OUT)
 
-# Regression gate: the median of BENCH_COUNT benchmark passes diffed against
-# the committed baseline. Fails if any benchmark is more than
-# BENCH_TOLERANCE percent slower.
+# Regression gate: the median of three benchmark passes diffed against the
+# committed baseline. Fails if any benchmark is more than BENCH_TOLERANCE
+# percent slower.
 bench-compare:
-	$(GO) test -bench=. -benchtime=1x -count=$(BENCH_COUNT) -benchmem -run='^$$' ./... | \
+	$(GO) test -bench=. -benchtime=1x -count=3 -benchmem -run='^$$' ./... | \
 		$(GO) run ./cmd/benchjson -compare $(BENCH_BASELINE) \
 			-tolerance $(BENCH_TOLERANCE) -floor $(BENCH_FLOOR) \
 			-min-speedup $(BENCH_MIN_SPEEDUP)

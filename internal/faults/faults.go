@@ -401,12 +401,6 @@ func (in *Injector) Component(name string) *Component {
 	return c
 }
 
-// Up reports whether the named component is alive at virtual time now; it
-// is Component(component).Up(now).
-func (in *Injector) Up(component string, now time.Duration) bool {
-	return in.Component(component).Up(now)
-}
-
 func (in *Injector) paramsFor(component string) (mtbf, mttr time.Duration, agent bool) {
 	prefix, _, _ := strings.Cut(component, "/")
 	switch prefix {

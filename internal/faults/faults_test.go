@@ -114,7 +114,7 @@ func TestZeroRatesDrawNothing(t *testing.T) {
 		if in.CommandDelay() != 0 {
 			t.Fatal("zero config delayed a command")
 		}
-		if !in.Up("agent/x", time.Duration(i)*time.Hour) {
+		if !in.Component("agent/x").Up(time.Duration(i) * time.Hour) {
 			t.Fatal("zero config crashed a component")
 		}
 	}
@@ -132,19 +132,19 @@ func TestCrashSchedules(t *testing.T) {
 	// Schedules are deterministic per (seed, name) and independent of query
 	// interleaving or other components.
 	in2 := New(cfg)
-	in2.Up("agent/other", time.Hour) // extra component must not perturb agent/a
+	in2.Component("agent/other").Up(time.Hour) // extra component must not perturb agent/a
 	var downA, downCtl int
 	const steps = 24 * 3600 // one simulated day at 1 s
 	for i := 0; i <= steps; i++ {
 		now := time.Duration(i) * time.Second
-		upA := in.Up("agent/a", now)
-		if upA != in2.Up("agent/a", now) {
+		upA := in.Component("agent/a").Up(now)
+		if upA != in2.Component("agent/a").Up(now) {
 			t.Fatalf("schedule for agent/a diverged at %v", now)
 		}
 		if !upA {
 			downA++
 		}
-		if !in.Up("controller/msb", now) {
+		if !in.Component("controller/msb").Up(now) {
 			downCtl++
 		}
 	}
@@ -162,7 +162,7 @@ func TestCrashSchedules(t *testing.T) {
 		t.Errorf("outage counters: %+v", c)
 	}
 	// Components are up at t=0 (schedules start with an up interval).
-	if !New(cfg).Up("agent/z", 0) {
+	if !New(cfg).Component("agent/z").Up(0) {
 		t.Error("component down at t=0")
 	}
 }
@@ -170,7 +170,7 @@ func TestCrashSchedules(t *testing.T) {
 func TestUnknownComponentNeverCrashes(t *testing.T) {
 	in := New(Default())
 	for i := 0; i < 1000; i++ {
-		if !in.Up("misc/thing", time.Duration(i)*time.Minute) {
+		if !in.Component("misc/thing").Up(time.Duration(i) * time.Minute) {
 			t.Fatal("unknown component crashed")
 		}
 	}
@@ -185,9 +185,10 @@ func TestNewPanicsOnInvalid(t *testing.T) {
 	New(Config{CommandLoss: 2})
 }
 
-// A resolved handle answers exactly as the name-keyed Up of a fresh
-// injector, with equal counters, whether queries move forward or jump back;
-// its cursor agrees with a search over the boundaries generated so far.
+// A handle resolved once answers exactly as a fresh injector that resolves
+// the name at every query, with equal counters, whether queries move
+// forward or jump back; its cursor agrees with a search over the boundaries
+// generated so far.
 func TestComponentMatchesNameKeyedUp(t *testing.T) {
 	names := []string{"agent/rack001", "agent/rack002", "leaf/rpp0", "ctl/msb", "controller/sb1", "misc/thing"}
 	for seed := int64(1); seed <= 6; seed++ {
@@ -212,7 +213,7 @@ func TestComponentMatchesNameKeyedUp(t *testing.T) {
 			}
 			for i, n := range names {
 				up := comps[i].Up(now)
-				if want := byName.Up(n, now); up != want {
+				if want := byName.Component(n).Up(now); up != want {
 					t.Fatalf("seed %d query %d: %s Up(%v) = %t, name-keyed %t", seed, q, n, now, up, want)
 				}
 				if c := comps[i]; c != nil {

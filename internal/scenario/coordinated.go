@@ -161,10 +161,10 @@ type CoordSpec struct {
 	Interrupt func() bool
 	// HardStop, when non-nil, is polled before every tick; returning true
 	// aborts the run abruptly — no final checkpoint, ErrAborted returned —
-	// simulating a SIGKILL for the kill-and-resume chaos harness. A fresh
-	// engine-backed run also polls it, with the window start, before each
-	// virtual minute of its pre-roll, so a request deadline can cut a long
-	// set-up short; a resume's pre-roll, like its replay, polls nothing.
+	// simulating a SIGKILL for the kill-and-resume chaos harness. An
+	// engine-backed run, fresh or resumed, also polls it with the window
+	// start before each virtual minute of its pre-roll, so a request
+	// deadline can cut a long set-up short.
 	HardStop func(now time.Duration) bool
 }
 
@@ -649,7 +649,7 @@ func newCoordRunAt(spec CoordSpec, place func(*coordRun) (scope *power.Node, at 
 		// them.
 		engine.ScheduleAt(start, "start", func(time.Duration) {})
 		for t := engine.Now(); t < start; {
-			if spec.HardStop != nil && spec.Resume == "" && spec.HardStop(start) {
+			if spec.HardStop != nil && spec.HardStop(start) {
 				return nil, ErrAborted
 			}
 			t = min(t+time.Minute, start)

@@ -150,4 +150,24 @@ func TestDistributedPreRollAborts(t *testing.T) {
 	if polls[len(polls)-2] != start || polls[len(polls)-1] <= start {
 		t.Errorf("window ticks polled at %v, want %v then the next tick", polls[len(polls)-2:], start)
 	}
+	// A resume runs the same pre-roll before it replays to its cursor, and
+	// polls it alike: a HardStop that fires at once stops it at the window
+	// start, not at the checkpointed tick.
+	spec.CheckpointEvery = time.Minute
+	spec.HardStop = func(now time.Duration) bool { return now >= start+3*time.Minute }
+	if _, err := RunCoordinated(spec); !errors.Is(err, ErrAborted) {
+		t.Fatalf("err = %v, want ErrAborted at +3m", err)
+	}
+	polls = polls[:0]
+	spec.Resume = spec.Checkpoint
+	spec.HardStop = func(now time.Duration) bool {
+		polls = append(polls, now)
+		return true
+	}
+	if _, err := RunCoordinated(spec); !errors.Is(err, ErrAborted) {
+		t.Fatalf("resume: err = %v, want ErrAborted", err)
+	}
+	if len(polls) != 1 || polls[0] != start {
+		t.Errorf("resume polled HardStop at %v, want once at the window start %v", polls, start)
+	}
 }
