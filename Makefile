@@ -33,9 +33,9 @@ lint:
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/coordvet -baseline $(LINT_BASELINE) ./...
 
-# Apply every machine-safe suggested fix (TODO-justified //coordvet:transient
-# and //coordvet:detached annotations), then gofmt the result. Grep for
-# TODO(coordvet) afterwards and replace the placeholders with real reasons.
+# Apply every machine-safe suggested fix (TODO-justified //coordvet:detached
+# annotations), then gofmt the result. Grep for TODO(coordvet) afterwards and
+# replace the placeholders with real reasons.
 lint-fix:
 	$(GO) run ./cmd/coordvet -fix ./...
 	gofmt -w .

@@ -9,7 +9,6 @@ import (
 
 	"coordcharge/internal/config"
 	"coordcharge/internal/grid"
-	"coordcharge/internal/obs"
 	"coordcharge/internal/rack"
 	"coordcharge/internal/report"
 	"coordcharge/internal/scenario"
@@ -23,8 +22,6 @@ import (
 // svc.RunRequest.
 type harness struct {
 	kernel     string
-	serve      string
-	pace       float64
 	analytics  bool
 	checkpoint string
 	interval   time.Duration // -checkpoint-interval
@@ -282,26 +279,6 @@ func runCustom(req *svc.RunRequest, h harness) {
 	spec.Kernel = h.kernel
 	spec.Checkpoint, spec.CheckpointEvery, spec.Resume = h.checkpoint, h.interval, h.resume
 	spec.Interrupt = armInterrupt()
-	if h.serve != "" {
-		sink := obs.NewSink(obs.DefaultFlightCap)
-		spec.Obs = sink
-		srv, addr, err := obs.Serve(h.serve, sink, func() map[string]any {
-			return map[string]any{"mode": req.Mode, "seed": req.Seed}
-		})
-		check(err)
-		defer srv.Close()
-		fmt.Fprintf(os.Stderr, "coordsim: observability on http://%s (metrics, healthz, debug/flight, debug/pprof)\n", addr)
-		if h.pace > 0 {
-			// Pace virtual time against the wall clock so a scraper can watch
-			// the run unfold: sleep one tick's worth of wall time, scaled.
-			step := spec.Step
-			if step == 0 {
-				step = 3 * time.Second // RunCoordinated's default tick
-			}
-			wait := time.Duration(float64(step) / h.pace)
-			spec.StepHook = func(time.Duration) { wallSleep(wait) }
-		}
-	}
 	res, err := scenario.RunCoordinated(spec)
 	check(err)
 	if res.Interrupted {

@@ -12,12 +12,10 @@ import (
 // the validation pure and table-testable; main assembles it from the flag
 // package and exits 2 on the first error.
 type flagValues struct {
-	set     map[string]bool
-	pace    float64
-	seed    int64
-	resume  string
-	gridFig string
-	kernel  string
+	set    map[string]bool
+	seed   int64
+	resume string
+	kernel string
 }
 
 // validateCombination rejects incoherent flag combinations up front, before
@@ -27,7 +25,7 @@ type flagValues struct {
 func validateCombination(v flagValues) error {
 	set := v.set
 	// Flags that only mean something inside a custom -run experiment.
-	for _, name := range []string{"storm", "faults", "watchdog", "latency", "distributed", "trace", "analytics", "serve", "pace", "admission", "guard", "grid", "kernel"} {
+	for _, name := range []string{"storm", "faults", "watchdog", "latency", "distributed", "trace", "analytics", "admission", "guard", "grid", "kernel"} {
 		if set[name] && !set["run"] {
 			return fmt.Errorf("-%s requires -run", name)
 		}
@@ -39,12 +37,21 @@ func validateCombination(v flagValues) error {
 			return fmt.Errorf(`-kernel must be "dense" or "event" (got %q)`, v.kernel)
 		}
 	}
-	if set["run"] {
-		for _, name := range []string{"fig", "table", "all", "endurance", "config", "grid-fig"} {
-			if set[name] {
-				return fmt.Errorf("-run is incompatible with -%s", name)
-			}
+	// -run, -endurance and -config are the three modes, and one runs. A
+	// missing mode is reported last, after the rules that name a flag.
+	modes := 0
+	for _, name := range []string{"run", "endurance", "config"} {
+		if set[name] {
+			modes++
 		}
+	}
+	if modes > 1 {
+		return fmt.Errorf("-run, -endurance and -config are exclusive")
+	}
+	// Only the tables of -config and -endurance have a CSV form; a -run
+	// summary would print the same text with or without it.
+	if set["csv"] && !set["config"] && !set["endurance"] {
+		return fmt.Errorf("-csv requires -config or -endurance")
 	}
 	// Storm machinery needs a storm to act on.
 	for _, name := range []string{"admission", "guard"} {
@@ -59,24 +66,6 @@ func validateCombination(v flagValues) error {
 			return fmt.Errorf("-%s requires -grid (the series attaches to the grid signal plane)", name)
 		}
 	}
-	if set["grid-fig"] {
-		switch v.gridFig {
-		case "shrink", "shave":
-		default:
-			return fmt.Errorf(`-grid-fig must be "shrink" or "shave" (got %q)`, v.gridFig)
-		}
-		for _, name := range []string{"endurance", "config"} {
-			if set[name] {
-				return fmt.Errorf("-grid-fig is incompatible with -%s", name)
-			}
-		}
-	}
-	if set["pace"] && !set["serve"] {
-		return fmt.Errorf("-pace requires -serve (pacing only matters when something is scraping the run)")
-	}
-	if set["pace"] && v.pace < 0 {
-		return fmt.Errorf("-pace must be >= 0 (got %v)", v.pace)
-	}
 	if set["years"] && !set["endurance"] {
 		return fmt.Errorf("-years requires -endurance")
 	}
@@ -89,9 +78,6 @@ func validateCombination(v flagValues) error {
 			return fmt.Errorf("-%s requires -run or -endurance", name)
 		}
 	}
-	if set["resume"] && set["config"] {
-		return fmt.Errorf("-resume is incompatible with -config (resume describes the experiment through flags)")
-	}
 	if set["resume"] {
 		// Catch a seed mismatch at flag time, before the fleet is built: the
 		// scenario layer would reject it anyway, but here it is a usage
@@ -103,6 +89,9 @@ func validateCombination(v flagValues) error {
 		if ckSeed != v.seed {
 			return fmt.Errorf("-resume %s was checkpointed with -seed %d, but this invocation uses -seed %d", v.resume, ckSeed, v.seed)
 		}
+	}
+	if modes == 0 {
+		return fmt.Errorf("pass -run, -config or -endurance; the paper's figures and tables come from reproduce (go run ./cmd/reproduce -out artifacts)")
 	}
 	return nil
 }

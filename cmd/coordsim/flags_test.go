@@ -43,13 +43,18 @@ func TestValidateCombination(t *testing.T) {
 		v       flagValues
 		wantErr string // substring; empty = valid
 	}{
-		{"bare", flagValues{set: mkSet()}, ""},
+		{"bare", flagValues{set: mkSet()}, "pass -run, -config or -endurance; the paper's figures and tables come from reproduce"},
+		{"seed alone", flagValues{set: mkSet("seed")}, "pass -run, -config or -endurance"},
 		{"run alone", flagValues{set: mkSet("run")}, ""},
+		{"config alone", flagValues{set: mkSet("config")}, ""},
+		{"endurance with config", flagValues{set: mkSet("endurance", "config")}, "exclusive"},
+		{"run with config", flagValues{set: mkSet("run", "config")}, "exclusive"},
 		{"storm without run", flagValues{set: mkSet("storm")}, "-storm requires -run"},
-		{"run with fig", flagValues{set: mkSet("run", "fig")}, "incompatible with -fig"},
+		{"csv with run", flagValues{set: mkSet("run", "csv")}, "-csv requires -config or -endurance"},
+		{"csv alone", flagValues{set: mkSet("csv")}, "-csv requires -config or -endurance"},
+		{"csv with endurance", flagValues{set: mkSet("endurance", "csv")}, ""},
+		{"csv with config", flagValues{set: mkSet("config", "csv")}, ""},
 		{"admission without storm", flagValues{set: mkSet("run", "admission")}, "-admission requires -storm"},
-		{"pace without serve", flagValues{set: mkSet("run", "pace")}, "-pace requires -serve"},
-		{"negative pace", flagValues{set: mkSet("run", "pace", "serve"), pace: -1}, "must be >= 0"},
 		{"years without endurance", flagValues{set: mkSet("years")}, "-years requires -endurance"},
 
 		{"grid without run", flagValues{set: mkSet("grid")}, "-grid requires -run"},
@@ -57,18 +62,13 @@ func TestValidateCombination(t *testing.T) {
 		{"grid cap csv without grid", flagValues{set: mkSet("run", "grid-cap-csv")}, "-grid-cap-csv requires -grid"},
 		{"grid price csv without grid", flagValues{set: mkSet("run", "grid-price-csv")}, "-grid-price-csv requires -grid"},
 		{"grid carbon csv with grid", flagValues{set: mkSet("run", "grid", "grid-carbon-csv")}, ""},
-		{"grid-fig shrink", flagValues{set: mkSet("grid-fig"), gridFig: "shrink"}, ""},
-		{"grid-fig shave", flagValues{set: mkSet("grid-fig"), gridFig: "shave"}, ""},
-		{"grid-fig bogus", flagValues{set: mkSet("grid-fig"), gridFig: "blackout"}, `-grid-fig must be "shrink" or "shave"`},
-		{"grid-fig with run", flagValues{set: mkSet("run", "grid-fig"), gridFig: "shave"}, "incompatible with -grid-fig"},
-		{"grid-fig with endurance", flagValues{set: mkSet("endurance", "grid-fig"), gridFig: "shrink"}, "-grid-fig is incompatible with -endurance"},
 
 		{"interval without checkpoint", flagValues{set: mkSet("run", "checkpoint-interval")}, "-checkpoint-interval requires -checkpoint"},
 		{"checkpoint without run", flagValues{set: mkSet("checkpoint")}, "-checkpoint requires -run or -endurance"},
 		{"checkpoint with run", flagValues{set: mkSet("run", "checkpoint")}, ""},
 		{"checkpoint with endurance", flagValues{set: mkSet("endurance", "checkpoint", "checkpoint-interval")}, ""},
 		{"resume without run", flagValues{set: mkSet("resume"), resume: ckptPath, seed: 7}, "-resume requires -run or -endurance"},
-		{"resume with config", flagValues{set: mkSet("endurance", "resume", "config"), resume: ckptPath, seed: 7}, "-resume is incompatible with -config"},
+		{"resume with config", flagValues{set: mkSet("endurance", "resume", "config"), resume: ckptPath, seed: 7}, "-run, -endurance and -config are exclusive"},
 		{"resume seed match", flagValues{set: mkSet("run", "resume", "seed"), resume: ckptPath, seed: 7}, ""},
 		{"resume seed mismatch", flagValues{set: mkSet("run", "resume", "seed"), resume: ckptPath, seed: 8}, "checkpointed with -seed 7"},
 		{"resume default seed mismatch", flagValues{set: mkSet("run", "resume"), resume: ckptPath, seed: 1}, "checkpointed with -seed 7"},

@@ -1,9 +1,9 @@
 // Command coordvet runs the repo's domain-aware static analysis suite
-// (internal/lint): eight analyzers enforcing the contracts the runtime tests
+// (internal/lint): seven analyzers enforcing the contracts the runtime tests
 // can only check after the fact — control-plane determinism, map-iteration
 // order feeding the flight digest, nil-safe observability, mutex
-// annotations, error hygiene, checkpoint round-trip parity, unit/dimension
-// safety, and goroutine lifecycle discipline.
+// annotations, error hygiene, unit/dimension safety, and goroutine lifecycle
+// discipline.
 //
 // Usage:
 //
@@ -24,9 +24,9 @@
 //     findings and exits 0 — the one-time capture when a new analyzer
 //     lands, and the prune step when debt is paid down.
 //   - -fix applies every machine-safe suggested fix in place (today:
-//     inserting TODO-justified //coordvet:transient and //coordvet:detached
-//     annotations), reports what it changed, and exits 0; re-run coordvet
-//     to see what remains. Conflicting fixes in one file are skipped.
+//     inserting TODO-justified //coordvet:detached annotations), reports
+//     what it changed, and exits 0; re-run coordvet to see what remains.
+//     Conflicting fixes in one file are skipped.
 //   - -format sarif emits SARIF 2.1.0 (for CI annotators) instead of the
 //     text lines; -out FILE redirects either format to a file.
 //

@@ -1,18 +1,18 @@
 // Command reproduce regenerates every artifact of the paper in one run and
-// writes them to an output directory: each figure as an ASCII chart and a
-// CSV series, each table as text and CSV, plus a summary index.
+// writes them to an output directory: each figure as an ASCII chart, a CSV
+// series and an SVG, each table as text and CSV, plus an index naming the
+// files each artifact wrote. It is the repository's one artifact command;
+// EXPERIMENTS.md says which file holds which figure or table.
 //
 // Usage:
 //
-//	reproduce -out artifacts [-years 20000] [-seed 1] [-fast]
-//
-// -fast skips the slowest artifacts (the full Fig 13/14/15 sweeps and the
-// full-population Fig 2) for a quick smoke of the pipeline.
+//	reproduce -out artifacts [-years 20000] [-seed 1]
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,173 +23,196 @@ import (
 	"coordcharge/internal/scenario"
 )
 
+// output is one saved file set: a chart (name.txt, name.csv, name.svg) or a
+// table (name.txt, name.csv).
+type output struct {
+	name  string
+	chart *report.Chart
+	table *report.Table
+}
+
+func (o output) save(dir string) error {
+	if o.chart != nil {
+		return report.SaveChart(dir, o.name, o.chart)
+	}
+	return report.SaveTable(dir, o.name, o.table)
+}
+
+// artifact builds one paper artifact: a figure, a table, or a figure with
+// its panels or summary table, each output under its own name.
 type artifact struct {
 	name  string
-	build func() (*report.Chart, *report.Table, error)
+	build func() ([]output, error)
 }
 
 func main() {
 	out := flag.String("out", "artifacts", "output directory")
 	years := flag.Float64("years", 20000, "Monte Carlo horizon in simulated years")
 	seed := flag.Int64("seed", 1, "seed for traces and the Monte Carlo")
-	fast := flag.Bool("fast", false, "skip the slowest artifacts")
 	flag.Parse()
+	if err := reproduce(*out, *years, *seed, os.Stdout); err != nil {
+		fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
+		os.Exit(1)
+	}
+}
 
-	arts := collect(*years, *seed, *fast)
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
+// reproduce builds every artifact into dir, reporting progress on w, and
+// writes INDEX.txt: one line per artifact with its build time and the names
+// of the files it wrote.
+func reproduce(dir string, years float64, seed int64, w io.Writer) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return err
 	}
 	var index strings.Builder
-	fmt.Fprintf(&index, "coordcharge reproduction artifacts (seed %d, %s)\n\n", *seed, time.Now().UTC().Format(time.RFC3339))
-	for _, a := range arts {
-		start := time.Now()
-		chart, table, err := a.build()
+	fmt.Fprintf(&index, "coordcharge reproduction artifacts (seed %d, %s)\n\n", seed, wallNow().UTC().Format(time.RFC3339))
+	for _, a := range artifacts(years, seed) {
+		start := wallNow()
+		outs, err := a.build()
 		if err != nil {
-			fatal(fmt.Errorf("%s: %w", a.name, err))
+			return fmt.Errorf("%s: %w", a.name, err)
 		}
-		if chart != nil {
-			if err := writeChart(*out, a.name, chart); err != nil {
-				fatal(err)
+		names := make([]string, len(outs))
+		for i, o := range outs {
+			if err := o.save(dir); err != nil {
+				return err
 			}
+			names[i] = o.name
 		}
-		if table != nil {
-			if err := writeTable(*out, a.name, table); err != nil {
-				fatal(err)
+		took := wallNow().Sub(start).Round(time.Millisecond)
+		fmt.Fprintf(&index, "%-22s %8s  %s\n", a.name, took, strings.Join(names, " "))
+		fmt.Fprintf(w, "wrote %s (%s)\n", a.name, took)
+	}
+	return ckpt.WriteAtomic(filepath.Join(dir, "INDEX.txt"), []byte(index.String()))
+}
+
+// wallNow is reproduce's only wall-clock tap: the index is stamped and each
+// artifact timed in wall time, while every artifact is built on virtual
+// time. coordvet's determinism analyzer allowlists this one function, so a
+// clock read anywhere else in the command is still a finding.
+func wallNow() time.Time { return time.Now() }
+
+// artifacts enumerates the artifact builders in paper order, then the
+// reproduction's own experiments.
+func artifacts(years float64, seed int64) []artifact {
+	return []artifact{
+		chartArtifact("fig02_region_outage", func() (*report.Chart, error) { return scenario.Fig2Chart(1), nil }),
+		{name: "fig03_charge_profile", build: func() ([]output, error) {
+			c := scenario.Fig3Charts()
+			return []output{
+				{name: "fig03_charge_profile", chart: c[0]},
+				{name: "fig03_current", chart: c[1]},
+				{name: "fig03_voltage", chart: c[2]},
+			}, nil
+		}},
+		chartArtifact("fig04_power_by_dod", noErr(scenario.Fig4Chart)),
+		chartArtifact("fig05_charge_time", noErr(scenario.Fig5Chart)),
+		chartArtifact("fig06b_eq1", noErr(scenario.Fig6bChart)),
+		chartArtifact("fig07_row_validation", noErr(scenario.Fig7Chart)),
+		tableArtifact("table1_components", noErr(scenario.TableITable)),
+		chartArtifact("fig09a_aor", func() (*report.Chart, error) { return scenario.Fig9aChart(years, seed) }),
+		tableArtifact("table2_sla", func() (*report.Table, error) { return scenario.TableIITable(years, seed) }),
+		tableArtifact("table2_breakdown", func() (*report.Table, error) {
+			return scenario.BreakdownTable(years, seed, 30*time.Minute)
+		}),
+		chartArtifact("fig09b_sla_current", noErr(scenario.Fig9bChart)),
+		chartArtifact("fig10_prototype_row", noErr(scenario.Fig10Chart)),
+		chartArtifact("fig11_override", noErr(scenario.Fig11Chart)),
+		chartArtifact("fig12_trace", func() (*report.Chart, error) { return scenario.Fig12Chart(seed) }),
+		{name: "fig13_table3", build: func() ([]output, error) {
+			res, err := scenario.RunFig13(seed)
+			if err != nil {
+				return nil, err
 			}
-		}
-		fmt.Fprintf(&index, "%-22s %8s\n", a.name, time.Since(start).Round(time.Millisecond))
-		fmt.Printf("wrote %s (%s)\n", a.name, time.Since(start).Round(time.Millisecond))
-	}
-	if err := ckpt.WriteAtomic(filepath.Join(*out, "INDEX.txt"), []byte(index.String())); err != nil {
-		fatal(err)
-	}
-}
-
-// collect enumerates the artifact builders in paper order.
-func collect(years float64, seed int64, fast bool) []artifact {
-	chartOnly := func(f func() *report.Chart) func() (*report.Chart, *report.Table, error) {
-		return func() (*report.Chart, *report.Table, error) { return f(), nil, nil }
-	}
-	arts := []artifact{
-		{name: "fig02_region_outage", build: func() (*report.Chart, *report.Table, error) {
-			factor := 1
-			if fast {
-				factor = 16
+			return append(panels("fig13", res.Charts), output{name: "fig13_table3", table: res.TableIII}), nil
+		}},
+		{name: "fig14_sweeps", build: func() ([]output, error) {
+			charts, err := scenario.RunFig14(seed)
+			return panels("fig14", charts), err
+		}},
+		{name: "fig15_distributions", build: func() ([]output, error) {
+			charts, err := scenario.RunFig15(seed)
+			return panels("fig15", charts), err
+		}},
+		{name: "case2_building", build: func() ([]output, error) {
+			res, err := scenario.RunCaseII(12, seed)
+			if err != nil {
+				return nil, err
 			}
-			return scenario.Fig2Chart(factor), nil, nil
+			// The §II-D headline: more than ten thousand servers capped.
+			headline := report.NewTable("Case II headline: servers power-capped across the building",
+				"Servers capped", "Max per-MSB increase")
+			headline.Add(fmt.Sprintf("%d", res.ServersCapped), fmt.Sprintf("+%.1f%%", float64(res.MaxIncrease)*100))
+			return []output{
+				{name: "case2_building", table: res.Table},
+				{name: "case2_headline", table: headline},
+			}, nil
 		}},
-		{name: "fig03_charge_profile", build: func() (*report.Chart, *report.Table, error) {
-			charts := scenario.Fig3Charts()
-			// The power chart is the headline; current/voltage are appended
-			// as extra series files by the caller loop, so merge titles.
-			return charts[0], nil, nil
+		tableArtifact("endurance_realized_aor", func() (*report.Table, error) {
+			res, err := scenario.RunEndurance(scenario.EnduranceSpec{Years: 30, Seed: seed})
+			if err != nil {
+				return nil, err
+			}
+			return scenario.EnduranceTable(res), nil
+		}),
+		tableArtifact("capacity_advice", func() (*report.Table, error) {
+			adv, err := scenario.Advise(scenario.AdvisorSpec{NumP1: 89, NumP2: 142, NumP3: 85, Seed: seed})
+			if err != nil {
+				return nil, err
+			}
+			return scenario.AdviceTable(adv), nil
+		}),
+		{name: "grid_shrink", build: func() ([]output, error) {
+			res, err := scenario.RunGridShrink(seed)
+			if err != nil {
+				return nil, err
+			}
+			return []output{
+				{name: "grid_shrink", chart: res.Chart},
+				{name: "grid_shrink_table", table: res.Table},
+			}, nil
 		}},
-		{name: "fig03_current", build: chartOnly(func() *report.Chart { return scenario.Fig3Charts()[1] })},
-		{name: "fig03_voltage", build: chartOnly(func() *report.Chart { return scenario.Fig3Charts()[2] })},
-		{name: "fig04_power_by_dod", build: chartOnly(scenario.Fig4Chart)},
-		{name: "fig05_charge_time", build: chartOnly(scenario.Fig5Chart)},
-		{name: "fig06b_eq1", build: chartOnly(scenario.Fig6bChart)},
-		{name: "fig07_row_validation", build: chartOnly(scenario.Fig7Chart)},
-		{name: "table1_components", build: func() (*report.Chart, *report.Table, error) {
-			return nil, scenario.TableITable(), nil
-		}},
-		{name: "fig09a_aor", build: func() (*report.Chart, *report.Table, error) {
-			c, err := scenario.Fig9aChart(years, seed)
-			return c, nil, err
-		}},
-		{name: "table2_sla", build: func() (*report.Chart, *report.Table, error) {
-			t, err := scenario.TableIITable(years, seed)
-			return nil, t, err
-		}},
-		{name: "table2_breakdown", build: func() (*report.Chart, *report.Table, error) {
-			t, err := scenario.BreakdownTable(years, seed, 30*time.Minute)
-			return nil, t, err
-		}},
-		{name: "fig09b_sla_current", build: chartOnly(scenario.Fig9bChart)},
-		{name: "fig10_prototype_row", build: chartOnly(scenario.Fig10Chart)},
-		{name: "fig11_override", build: chartOnly(scenario.Fig11Chart)},
-		{name: "fig12_trace", build: func() (*report.Chart, *report.Table, error) {
-			c, err := scenario.Fig12Chart(seed)
-			return c, nil, err
+		{name: "grid_shave", build: func() ([]output, error) {
+			res, err := scenario.RunGridShave(seed)
+			if err != nil {
+				return nil, err
+			}
+			g := res.Run.Grid
+			summary := report.NewTable("Peak shaving outcome",
+				"Starts", "Rotations", "Carried by batteries", "Cap violation ticks", "Peak draw")
+			summary.Addf(g.ShaveStarts, g.ShaveRotations, g.ShavedEnergy, g.ViolationTicks, g.PeakDraw)
+			return []output{
+				{name: "grid_shave", chart: res.Chart},
+				{name: "grid_shave_table", table: summary},
+			}, nil
 		}},
 	}
-	if !fast {
-		arts = append(arts,
-			artifact{name: "fig13_table3", build: func() (*report.Chart, *report.Table, error) {
-				res, err := scenario.RunFig13(seed)
-				if err != nil {
-					return nil, nil, err
-				}
-				// Fig 13 produces six charts; write them here and return the
-				// table through the normal path.
-				for i, c := range res.Charts {
-					if err := writeChart(flag.Lookup("out").Value.String(), fmt.Sprintf("fig13%c", 'a'+i), c); err != nil {
-						return nil, nil, err
-					}
-				}
-				return nil, res.TableIII, nil
-			}},
-			artifact{name: "fig14_sweeps", build: func() (*report.Chart, *report.Table, error) {
-				charts, err := scenario.RunFig14(seed)
-				if err != nil {
-					return nil, nil, err
-				}
-				for i, c := range charts {
-					if err := writeChart(flag.Lookup("out").Value.String(), fmt.Sprintf("fig14%c", 'a'+i), c); err != nil {
-						return nil, nil, err
-					}
-				}
-				return nil, nil, nil
-			}},
-			artifact{name: "fig15_distributions", build: func() (*report.Chart, *report.Table, error) {
-				charts, err := scenario.RunFig15(seed)
-				if err != nil {
-					return nil, nil, err
-				}
-				for i, c := range charts {
-					if err := writeChart(flag.Lookup("out").Value.String(), fmt.Sprintf("fig15%c", 'a'+i), c); err != nil {
-						return nil, nil, err
-					}
-				}
-				return nil, nil, nil
-			}},
-			artifact{name: "case2_building", build: func() (*report.Chart, *report.Table, error) {
-				res, err := scenario.RunCaseII(12, seed)
-				if err != nil {
-					return nil, nil, err
-				}
-				return nil, res.Table, nil
-			}},
-			artifact{name: "endurance_realized_aor", build: func() (*report.Chart, *report.Table, error) {
-				res, err := scenario.RunEndurance(scenario.EnduranceSpec{Years: 30, Seed: seed})
-				if err != nil {
-					return nil, nil, err
-				}
-				return nil, scenario.EnduranceTable(res), nil
-			}},
-			artifact{name: "capacity_advice", build: func() (*report.Chart, *report.Table, error) {
-				adv, err := scenario.Advise(scenario.AdvisorSpec{
-					NumP1: 89, NumP2: 142, NumP3: 85, Seed: seed,
-				})
-				if err != nil {
-					return nil, nil, err
-				}
-				return nil, scenario.AdviceTable(adv), nil
-			}},
-		)
+}
+
+// chartArtifact and tableArtifact wrap a one-chart or one-table builder; its
+// output takes the artifact's name.
+func chartArtifact(name string, build func() (*report.Chart, error)) artifact {
+	return artifact{name: name, build: func() ([]output, error) {
+		c, err := build()
+		return []output{{name: name, chart: c}}, err
+	}}
+}
+
+func tableArtifact(name string, build func() (*report.Table, error)) artifact {
+	return artifact{name: name, build: func() ([]output, error) {
+		t, err := build()
+		return []output{{name: name, table: t}}, err
+	}}
+}
+
+func noErr[T any](f func() T) func() (T, error) {
+	return func() (T, error) { return f(), nil }
+}
+
+// panels names a multi-panel figure's charts prefix+"a", prefix+"b", ...
+func panels(prefix string, charts []*report.Chart) []output {
+	outs := make([]output, len(charts))
+	for i, c := range charts {
+		outs[i] = output{name: fmt.Sprintf("%s%c", prefix, 'a'+i), chart: c}
 	}
-	return arts
-}
-
-func writeChart(dir, name string, c *report.Chart) error {
-	return report.SaveChart(dir, name, c)
-}
-
-func writeTable(dir, name string, t *report.Table) error {
-	return report.SaveTable(dir, name, t)
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "reproduce: %v\n", err)
-	os.Exit(1)
+	return outs
 }

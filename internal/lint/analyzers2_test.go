@@ -10,24 +10,6 @@ import (
 	"testing"
 )
 
-func TestCkptParityGolden(t *testing.T) {
-	runGolden(t, "ckptparity", []*Analyzer{CkptParity}, "coordcharge/internal/ckptfix")
-}
-
-// TestCkptParityMissingWhy: a reasonless //coordvet:transient suppresses the
-// parity finding but earns its own diagnostic. Asserted directly because the
-// finding lands on the annotation comment, where a `want` would become the
-// justification.
-func TestCkptParityMissingWhy(t *testing.T) {
-	diags := runFixture(t, "ckptparity", []*Analyzer{CkptParity}, "coordcharge/internal/ckptannot")
-	if len(diags) != 1 {
-		t.Fatalf("want exactly the missing-why diagnostic, got %d: %v", len(diags), diags)
-	}
-	if !strings.Contains(diags[0].Message, "//coordvet:transient needs a justification after the marker") {
-		t.Errorf("unexpected diagnostic: %s", diags[0])
-	}
-}
-
 func TestUnitSafetyGolden(t *testing.T) {
 	runGolden(t, "unitsafety", []*Analyzer{UnitSafety}, "coordcharge/internal/unitfix")
 }
@@ -36,8 +18,10 @@ func TestGoroutineDisciplineGolden(t *testing.T) {
 	runGolden(t, "goroutinediscipline", []*Analyzer{GoroutineDiscipline}, "coordcharge/internal/gofix")
 }
 
-// TestGoroutineDisciplineMissingWhy mirrors the ckptparity case for
-// //coordvet:detached.
+// TestGoroutineDisciplineMissingWhy: a reasonless //coordvet:detached
+// suppresses the finding but earns its own diagnostic. Asserted directly
+// because the finding lands on the annotation comment, where a `want` would
+// become the justification.
 func TestGoroutineDisciplineMissingWhy(t *testing.T) {
 	diags := runFixture(t, "goroutinediscipline", []*Analyzer{GoroutineDiscipline}, "coordcharge/internal/goannot")
 	if len(diags) != 1 {
@@ -64,11 +48,90 @@ func TestLoaderGenerics(t *testing.T) {
 	}
 }
 
-// TestApplyFixes applies ckptparity's suggested annotations to the fixture
-// and checks the insertion — before the existing trailing comment, without
-// touching the disk copy.
+// TestApplyFixes exercises ApplyFixes' conflict rule on the gofix fixture's
+// real fixes plus two synthesized ones: an edit that overlaps an insertion
+// point wins over the later-starting insertion, a diagnostic with one
+// conflicting edit is dropped whole (its clean edit is not half-applied),
+// unrelated fixes still apply, and nothing is written to disk.
 func TestApplyFixes(t *testing.T) {
-	loader, scanned, diags := loadFixture(t, "ckptparity", []*Analyzer{CkptParity}, "coordcharge/internal/ckptfix")
+	loader, scanned, diags := loadFixture(t, "goroutinediscipline", []*Analyzer{GoroutineDiscipline}, "coordcharge/internal/gofix")
+	prog := loader.Program(scanned)
+	var unjoined, named *Diagnostic
+	for i := range diags {
+		d := &diags[i]
+		if d.Fix == nil {
+			continue
+		}
+		switch {
+		case strings.Contains(d.Message, "no provable join") && unjoined == nil:
+			unjoined = d
+		case strings.Contains(d.Message, "no provable join"):
+			named = d
+		default:
+			t.Fatalf("unexpected fix on %s", d)
+		}
+	}
+	if unjoined == nil || named == nil {
+		t.Fatalf("want fixes on both unjoined goroutines, got %v", diags)
+	}
+	at := unjoined.Fix.Edits[0].Pos // just after `go func() {}()`
+
+	// winner replaces "() " around the insertion point: it starts first.
+	winner := Diagnostic{Analyzer: "test", Pos: unjoined.Pos, Message: "winner", Fix: &SuggestedFix{
+		Edits: []TextEdit{{Pos: at - 2, End: at + 1, NewText: "()/*kept*/ "}},
+	}}
+	// half has a clean edit at the package clause and one inside winner's span.
+	half := Diagnostic{Analyzer: "test", Pos: unjoined.Pos, Message: "half", Fix: &SuggestedFix{
+		Edits: []TextEdit{
+			{Pos: scanned[0].Files[0].Package, End: scanned[0].Files[0].Package, NewText: "/*half*/"},
+			{Pos: at - 1, End: at - 1, NewText: "/*half*/"},
+		},
+	}}
+	all := append(append([]Diagnostic(nil), diags...), winner, half)
+
+	fixed, applied, skipped, err := ApplyFixes(prog, all)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if applied != 2 {
+		t.Errorf("applied %d fixes, want 2 (winner and the named goroutine's)", applied)
+	}
+	if len(skipped) != 2 || skipped[0].Message != unjoined.Message || skipped[1].Message != "half" {
+		t.Errorf("skipped %v, want the overlapped insertion then half", skipped)
+	}
+	if len(fixed) != 1 {
+		t.Fatalf("fixed %d files, want 1", len(fixed))
+	}
+	for name, content := range fixed {
+		out := string(content)
+		if !strings.Contains(out, "go func() {}()/*kept*/ // want ") {
+			t.Error("winning edit not applied in place")
+		}
+		if strings.Contains(out, "/*half*/") {
+			t.Error("a conflicted diagnostic was half-applied")
+		}
+		if !strings.Contains(out, "go pump() //"+DetachedMarker+" TODO(coordvet)") {
+			t.Error("the non-conflicting fix on the named goroutine was not applied")
+		}
+		if n := strings.Count(out, "TODO(coordvet)"); n != 1 {
+			t.Errorf("%d placeholder annotations, want 1", n)
+		}
+		orig, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Contains(string(orig), "/*kept*/") || strings.Contains(string(orig), "TODO(coordvet)") {
+			t.Error("ApplyFixes wrote to disk")
+		}
+	}
+}
+
+// TestApplyFixesDetached applies the goroutinediscipline fixes to the
+// fixture: each detached annotation is inserted right after its go
+// statement, before the statement's existing trailing comment, without a
+// conflict and without touching the disk copy.
+func TestApplyFixesDetached(t *testing.T) {
+	loader, scanned, diags := loadFixture(t, "goroutinediscipline", []*Analyzer{GoroutineDiscipline}, "coordcharge/internal/gofix")
 	fixed, applied, skipped, err := ApplyFixes(loader.Program(scanned), diags)
 	if err != nil {
 		t.Fatal(err)
@@ -83,18 +146,20 @@ func TestApplyFixes(t *testing.T) {
 		t.Fatalf("fixed %d files, want 1", len(fixed))
 	}
 	for name, content := range fixed {
-		if !strings.HasSuffix(name, "ckptfix.go") {
+		if !strings.HasSuffix(name, "gofix.go") {
 			t.Errorf("unexpected fixed file %s", name)
 		}
+		// The unjoined goroutine's line already trails a `// want` comment;
+		// the annotation must land between the statement and that comment.
 		annotated := false
 		for _, line := range strings.Split(string(content), "\n") {
-			if strings.Contains(line, "lost int") &&
-				strings.Contains(line, TransientMarker+" TODO(coordvet)") {
+			if strings.Contains(line, "go func() {}() //"+DetachedMarker+" TODO(coordvet)") &&
+				strings.Contains(line, "// want ") {
 				annotated = true
 			}
 		}
 		if !annotated {
-			t.Error("Leaky.lost did not gain a transient annotation")
+			t.Error("unjoined goroutine did not gain a detached annotation before its trailing comment")
 		}
 		orig, err := os.ReadFile(name)
 		if err != nil {
@@ -109,24 +174,6 @@ func TestApplyFixes(t *testing.T) {
 	}
 }
 
-// TestApplyFixesDetached applies the goroutinediscipline fix: the detached
-// annotation is appended after the go statement.
-func TestApplyFixesDetached(t *testing.T) {
-	loader, scanned, diags := loadFixture(t, "goroutinediscipline", []*Analyzer{GoroutineDiscipline}, "coordcharge/internal/gofix")
-	fixed, applied, _, err := ApplyFixes(loader.Program(scanned), diags)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if applied == 0 {
-		t.Fatal("no fixes applied")
-	}
-	for _, content := range fixed {
-		if !strings.Contains(string(content), "go func() {}() //"+DetachedMarker+" TODO(coordvet)") {
-			t.Errorf("unjoined goroutine did not gain a detached annotation")
-		}
-	}
-}
-
 func TestBaselineRoundTrip(t *testing.T) {
 	modRoot := t.TempDir()
 	mk := func(file, analyzer, msg string) Diagnostic {
@@ -137,8 +184,8 @@ func TestBaselineRoundTrip(t *testing.T) {
 		}
 	}
 	diags := []Diagnostic{
-		mk("a/a.go", "ckptparity", "A.x is mutated"),
-		mk("a/a.go", "ckptparity", "A.x is mutated"), // duplicate: Count 2
+		mk("a/a.go", "obsnil", "exported method (*A) X must begin with `if a == nil`"),
+		mk("a/a.go", "obsnil", "exported method (*A) X must begin with `if a == nil`"), // duplicate: Count 2
 		mk("b/b.go", "unitsafety", "mixes W and Wh"),
 	}
 	b := NewBaseline(modRoot, diags)
@@ -161,7 +208,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 
 	// A third duplicate exceeds the budgeted count: fresh.
-	fresh, _ = rb.Filter(modRoot, append(diags, mk("a/a.go", "ckptparity", "A.x is mutated")))
+	fresh, _ = rb.Filter(modRoot, append(diags, mk("a/a.go", "obsnil", "exported method (*A) X must begin with `if a == nil`")))
 	if len(fresh) != 1 {
 		t.Errorf("over-budget duplicate not fresh: %v", fresh)
 	}
@@ -176,7 +223,7 @@ func TestBaselineRoundTrip(t *testing.T) {
 	}
 
 	// A new finding is always fresh, and line moves don't matter.
-	moved := mk("a/a.go", "ckptparity", "A.y is mutated")
+	moved := mk("a/a.go", "obsnil", "exported method (*A) Y must begin with `if a == nil`")
 	moved.Pos.Line = 99
 	fresh, _ = rb.Filter(modRoot, []Diagnostic{moved})
 	if len(fresh) != 1 {
@@ -200,9 +247,9 @@ func TestWriteSARIF(t *testing.T) {
 	modRoot := t.TempDir()
 	diags := []Diagnostic{
 		{
-			Analyzer: "ckptparity",
+			Analyzer: "unitsafety",
 			Pos:      token.Position{Filename: filepath.Join(modRoot, "internal", "grid", "policy.go"), Line: 12, Column: 3},
-			Message:  "Policy.x is mutated but not read by ExportState",
+			Message:  "headroom - used mixes units.Power and units.Energy; convert through internal/units first",
 		},
 		{
 			Analyzer: "ignore",

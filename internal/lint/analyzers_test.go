@@ -8,7 +8,6 @@ import (
 func TestDeterminismGolden(t *testing.T) {
 	runGolden(t, "determinism", []*Analyzer{Determinism},
 		"coordcharge/internal/simfix",
-		"coordcharge/internal/obs",
 		"coordcharge/cmd/reproduce",
 		"coordcharge/toolfix",
 	)

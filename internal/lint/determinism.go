@@ -13,11 +13,10 @@ import (
 // state. Virtual time flows in as an argument; randomness comes from a
 // seeded *rand.Rand (internal/rng).
 //
-// Scope: packages under internal/ and cmd/. Allowlist: cmd/reproduce (its
-// artifact index is wall-clock stamped by design) and named tap functions —
-// obs.Serve (the live HTTP surface), svc's wallNow/wallSleep (the service
-// plane's injected clock), and coordsim's wallSleep (the -pace hook) — so
-// each deliberate wall-clock boundary is one grep-able function and the
+// Scope: packages under internal/ and cmd/. Allowlist: named tap functions
+// only — svc's wallNow/wallSleep (the service plane's injected clock) and
+// reproduce's wallNow (its artifact index is stamped and timed in wall time)
+// — so each deliberate wall-clock boundary is one grep-able function and the
 // rest of its package stays checked.
 var Determinism = &Analyzer{
 	Name: "determinism",
@@ -43,32 +42,23 @@ var forbiddenTime = map[string]string{
 // global generator.
 var allowedRand = map[string]bool{"New": true, "NewSource": true, "NewZipf": true}
 
-// determinismAllowedPkg exempts whole packages.
-func determinismAllowedPkg(path string) bool {
-	return strings.HasSuffix(path, "cmd/reproduce")
-}
-
 // determinismAllowedFunc exempts specific functions: pkg-path suffix →
 // function names.
 var determinismAllowedFunc = map[string]map[string]bool{
-	"internal/obs": {"Serve": true},
 	// The service plane is a deliberate wall-clock boundary: request
 	// deadlines, queue aging, breaker cooldowns, and the resident-run stall
 	// watchdog are wall-clock concepts. All of internal/svc reads time
 	// through these two injected taps (see svc.Clock), so the hosted
 	// simulations stay on virtual tick time.
 	"internal/svc": {"wallNow": true, "wallSleep": true},
-	// coordsim's -pace hook deliberately slaves virtual time to the wall
-	// clock for live scraping; the sleep is funnelled through one tap.
-	"cmd/coordsim": {"wallSleep": true},
+	// reproduce stamps its artifact index and times each artifact; the
+	// artifacts themselves are built on virtual time.
+	"cmd/reproduce": {"wallNow": true},
 }
 
 func runDeterminism(p *Pass) {
 	path := p.Pkg.Path
 	if !strings.Contains(path, "/internal/") && !strings.Contains(path, "/cmd/") {
-		return
-	}
-	if determinismAllowedPkg(path) {
 		return
 	}
 	var allowedFuncs map[string]bool

@@ -36,7 +36,7 @@ type Analyzer struct {
 // All lists every analyzer in the suite, in reporting order.
 func All() []*Analyzer {
 	return []*Analyzer{Determinism, MapOrder, ObsNil, LockDiscipline, ErrDrop,
-		CkptParity, UnitSafety, GoroutineDiscipline}
+		UnitSafety, GoroutineDiscipline}
 }
 
 // ByName resolves a comma-separated analyzer list ("determinism,errdrop").
@@ -73,8 +73,7 @@ type TextEdit struct {
 // SuggestedFix is an optional machine-applicable remedy attached to a
 // diagnostic. The driver's -fix mode applies the edits; fixes are only
 // offered where the edit is safe to apply blindly — today that means
-// inserting a `TODO(coordvet)`-justified //coordvet:transient or
-// //coordvet:detached annotation. The placeholder justification is valid
+// inserting a `TODO(coordvet)`-justified //coordvet:detached annotation. The placeholder justification is valid
 // (the finding is silenced) but deliberately grep-able, so review can hold
 // the line on replacing it with a real reason.
 type SuggestedFix struct {

@@ -70,11 +70,10 @@ type sarifRegion struct {
 }
 
 // sarifMetaRules lists result sources that are not analyzers proper but can
-// appear as diagnostics (the suppression machinery).
+// appear as diagnostics (the suppression machinery; a stale or reasonless
+// //coordvet:detached is reported under goroutinediscipline itself).
 var sarifMetaRules = map[string]string{
-	"ignore":    "malformed or stale //coordvet:ignore suppressions",
-	"transient": "malformed or stale //coordvet:transient annotations",
-	"detached":  "malformed or stale //coordvet:detached annotations",
+	"ignore": "malformed or stale //coordvet:ignore suppressions",
 }
 
 // WriteSARIF renders diags as a SARIF 2.1.0 log. Rules cover every analyzer

@@ -26,9 +26,10 @@
 //     in the control plane is caught (see TestFlightDigestDeterministic).
 //
 // The registry and recorder are safe for concurrent use: the simulation
-// writes from its own goroutine while obs.Serve reads from HTTP handler
-// goroutines. The HTTP surface deliberately reads only obs state — never the
-// simulation's objects — so serving requires no locking in the sim itself.
+// writes from its own goroutine while Handler's endpoints read from HTTP
+// handler goroutines. The HTTP surface deliberately reads only obs state —
+// never the simulation's objects — so serving requires no locking in the sim
+// itself.
 package obs
 
 import "time"

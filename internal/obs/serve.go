@@ -3,7 +3,6 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -106,9 +105,9 @@ const (
 )
 
 // NewServer builds the obs-plane http.Server with every I/O timeout bounded
-// (see the Serve* constants). Serve and anything else exposing an obs
-// handler on a real listener should build its server here so a slow or
-// hostile client can never hold a connection unboundedly.
+// (see the Serve* constants). Anything exposing an obs handler on a real
+// listener (coordd does) should build its server here so a slow or hostile
+// client can never hold a connection unboundedly.
 func NewServer(h http.Handler) *http.Server {
 	return &http.Server{
 		Handler:           h,
@@ -117,18 +116,4 @@ func NewServer(h http.Handler) *http.Server {
 		WriteTimeout:      ServeWriteTimeout,
 		IdleTimeout:       ServeIdleTimeout,
 	}
-}
-
-// Serve listens on addr and serves Handler(s, health) in a background
-// goroutine. It returns the server (for Shutdown/Close) and the bound
-// listener address — useful when addr ends in ":0". Startup errors (bad
-// address, port in use) are returned synchronously.
-func Serve(addr string, s *Sink, health HealthFunc) (*http.Server, net.Addr, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	srv := NewServer(Handler(s, health))
-	go srv.Serve(ln) //coordvet:detached lifecycle bounded by the returned *http.Server (Shutdown/Close joins it)
-	return srv, ln.Addr(), nil
 }

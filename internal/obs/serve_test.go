@@ -85,14 +85,10 @@ func TestHTTPSurfaceNilSink(t *testing.T) {
 }
 
 // TestServeTimeoutsBounded is the slow-loris regression test: every I/O
-// timeout on the served http.Server must be bounded, and the write timeout
-// must still leave room for a default 30-second pprof CPU profile.
+// timeout on the obs-plane http.Server must be bounded, and the write
+// timeout must still leave room for a default 30-second pprof CPU profile.
 func TestServeTimeoutsBounded(t *testing.T) {
-	srv, _, err := Serve("127.0.0.1:0", NewSink(16), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
+	srv := NewServer(Handler(NewSink(16), nil))
 	checks := []struct {
 		name string
 		d    time.Duration
@@ -112,25 +108,5 @@ func TestServeTimeoutsBounded(t *testing.T) {
 	}
 	if srv.WriteTimeout <= 30*time.Second {
 		t.Errorf("WriteTimeout %v cannot serve a default 30s pprof profile", srv.WriteTimeout)
-	}
-}
-
-func TestServeBindsAndShutsDown(t *testing.T) {
-	s := NewSink(16)
-	srv, addr, err := Serve("127.0.0.1:0", s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	resp, err := http.Get("http://" + addr.String() + "/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("healthz over Serve = %d", resp.StatusCode)
-	}
-	if err := srv.Close(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -135,9 +135,10 @@ type CoordSpec struct {
 	Obs *obs.Sink
 	// StepHook, when non-nil, is called at the end of every simulation tick
 	// with the current virtual time — after controllers, guards, and gauge
-	// updates. coordsim's -serve mode uses it for wall-clock pacing; tests
-	// use it to scrape the HTTP surface mid-run. It is suppressed while a
-	// resume is replaying ticks it already ran.
+	// updates. coordd's resident run uses it to publish progress and pace
+	// against the wall clock; tests use it to scrape the HTTP surface
+	// mid-run. It is suppressed while a resume is replaying ticks it already
+	// ran.
 	StepHook func(now time.Duration)
 	// Checkpoint, when non-empty, writes a crash-safe checkpoint of the run
 	// to this path (atomically: temp file + fsync + rename) every

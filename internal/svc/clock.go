@@ -29,10 +29,10 @@ func (c Clock) withDefaults() Clock {
 }
 
 // wallNow and wallSleep are internal/svc's only wall-clock taps, allowlisted
-// by coordvet's determinism analyzer the same way obs.Serve is: the service
-// plane is a deliberate wall-clock boundary, while the simulations it hosts
-// stay entirely on virtual tick time. Any other direct time.Now/time.Sleep
-// in this package is a lint finding.
+// by name in coordvet's determinism analyzer: the service plane is a
+// deliberate wall-clock boundary, while the simulations it hosts stay
+// entirely on virtual tick time. Any other direct time.Now/time.Sleep in
+// this package is a lint finding.
 func wallNow() time.Time { return time.Now() }
 
 func wallSleep(d time.Duration) { time.Sleep(d) }
