@@ -1,9 +1,11 @@
 package main
 
 import (
+	"flag"
 	"fmt"
 
 	"coordcharge/internal/ckpt"
+	"coordcharge/internal/svc"
 )
 
 // flagValues is the subset of parsed flag state that cross-flag validation
@@ -47,6 +49,18 @@ func validateCombination(v flagValues) error {
 	}
 	if modes > 1 {
 		return fmt.Errorf("-run, -endurance and -config are exclusive")
+	}
+	// The experiment flags (svc.RunRequest's) describe a -run experiment.
+	// An experiment file describes its own, and -endurance reads only the
+	// fleet it runs; any other experiment flag would be silently ignored.
+	for _, name := range requestFlags() {
+		switch {
+		case !set[name]:
+		case set["config"]:
+			return fmt.Errorf("-%s is not read by -config (the experiment file describes the run)", name)
+		case set["endurance"] && !enduranceReads[name]:
+			return fmt.Errorf("-%s is not read by -endurance", name)
+		}
 	}
 	// Only the tables of -config and -endurance have a CSV form; a -run
 	// summary would print the same text with or without it.
@@ -94,6 +108,21 @@ func validateCombination(v flagValues) error {
 		return fmt.Errorf("pass -run, -config or -endurance; the paper's figures and tables come from reproduce (go run ./cmd/reproduce -out artifacts)")
 	}
 	return nil
+}
+
+// enduranceReads names the experiment flags -endurance reads (the fields
+// of config.Endurance main fills from them).
+var enduranceReads = map[string]bool{
+	"p1": true, "p2": true, "p3": true, "seed": true, "mode": true, "policy": true, "limit": true,
+}
+
+// requestFlags returns the names of the flags svc.RunRequest.Flags binds.
+func requestFlags() []string {
+	fs := flag.NewFlagSet("", flag.ContinueOnError)
+	new(svc.RunRequest).Flags(fs)
+	var names []string
+	fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
+	return names
 }
 
 // checkpointSeed reads just the seed out of the checkpoint generation a

@@ -76,6 +76,27 @@ func TestValidateCombination(t *testing.T) {
 		{"resume corrupt file", flagValues{set: mkSet("run", "resume"), resume: truncated, seed: 1}, "-resume"},
 		{"resume torn latest, valid prev", flagValues{set: mkSet("run", "resume", "seed"), resume: rotated, seed: 7}, ""},
 		{"resume torn latest, prev seed mismatch", flagValues{set: mkSet("run", "resume", "seed"), resume: rotated, seed: 8}, "checkpointed with -seed 7"},
+
+		// Every experiment flag is rejected where the mode does not read it.
+		{"config with p1", flagValues{set: mkSet("config", "p1")}, "-p1 is not read by -config"},
+		{"config with p2", flagValues{set: mkSet("config", "p2")}, "-p2 is not read by -config"},
+		{"config with p3", flagValues{set: mkSet("config", "p3")}, "-p3 is not read by -config"},
+		{"config with seed", flagValues{set: mkSet("config", "seed")}, "-seed is not read by -config"},
+		{"config with dod", flagValues{set: mkSet("config", "dod")}, "-dod is not read by -config"},
+		{"config with mode", flagValues{set: mkSet("config", "mode")}, "-mode is not read by -config"},
+		{"config with policy", flagValues{set: mkSet("config", "policy")}, "-policy is not read by -config"},
+		{"config with limit", flagValues{set: mkSet("config", "limit")}, "-limit is not read by -config"},
+		{"config with storm", flagValues{set: mkSet("config", "storm")}, "-storm requires -run"},
+		{"config with admission", flagValues{set: mkSet("config", "admission")}, "-admission requires -run"},
+		{"config with guard", flagValues{set: mkSet("config", "guard")}, "-guard requires -run"},
+		{"config with watchdog", flagValues{set: mkSet("config", "watchdog")}, "-watchdog requires -run"},
+		{"config with latency", flagValues{set: mkSet("config", "latency")}, "-latency requires -run"},
+		{"config with distributed", flagValues{set: mkSet("config", "distributed")}, "-distributed requires -run"},
+		{"config with faults", flagValues{set: mkSet("config", "faults")}, "-faults requires -run"},
+		{"config with grid", flagValues{set: mkSet("config", "grid")}, "-grid requires -run"},
+		{"endurance with dod", flagValues{set: mkSet("endurance", "dod")}, "-dod is not read by -endurance"},
+		{"endurance with fleet flags", flagValues{set: mkSet("endurance", "p1", "p2", "p3", "seed", "mode", "policy", "limit")}, ""},
+		{"run with dod and fleet flags", flagValues{set: mkSet("run", "dod", "p1", "seed", "limit")}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

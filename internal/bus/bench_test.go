@@ -14,11 +14,11 @@ func BenchmarkBusRequestReply(b *testing.B) {
 	fabric := New(e, ConstantLatency(10*time.Millisecond))
 	var result any = 42
 	fabric.Register("agent", func(now time.Duration, msg *Message) { fabric.Reply(now, msg, result) })
-	onReply := func(time.Duration, any) {}
+	onReply := func(time.Duration, *Message) {}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		fabric.Request("leaf", "agent", "read", nil, onReply)
+		fabric.Request("leaf", "agent", "read", 0, nil, onReply)
 		e.Step()
 		e.Step()
 	}

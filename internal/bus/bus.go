@@ -18,22 +18,60 @@ import (
 // Message is one datagram between endpoints. It is also the engine event
 // that delivers it: the bus posts the message itself, and once its last
 // delivery has fired it goes back on the bus's free list for a later send. A
-// handler or Perturb hook must therefore not keep a *Message after it
-// returns; copy the fields it needs.
+// handler, reply callback or Perturb hook must therefore not keep a *Message
+// after it returns; copy the fields it needs.
 type Message struct {
 	From, To string
 	// Kind discriminates the protocol operation ("read", "override", ...).
 	Kind string
-	// Payload carries the operation's argument or result.
+	// Payload carries the operation's argument or result. It lives exactly
+	// as long as the message: a payload that implements Releaser is handed
+	// back when the message is recycled, so a receiver copies what it keeps
+	// and reads nothing of it after its handler or callback returns.
 	Payload any
+	// Tag is the requester's correlation value: a request's tag comes back
+	// on its reply, however late the reply arrives.
+	Tag uint64
 
 	bus      *Bus
 	src, dst *Endpoint // From and To, resolved
 	// onReply is the requester's callback. It makes a request answerable,
-	// and delivering a reply hands the reply's payload to it.
-	onReply func(now time.Duration, payload any)
+	// and a reply is delivered to it instead of to an endpoint's handler.
+	onReply Handler
 	isReply bool
 	pending int // posted deliveries (injected duplicates included) yet to fire
+}
+
+// Releaser is a payload with a release hook: the bus calls Release exactly
+// once, when it recycles the message carrying the payload — after the
+// message's last delivery (injected duplicates included), at once on a
+// Perturb drop, or at once when the destination is unregistered.
+type Releaser interface{ Release() }
+
+// Box is a pooled payload: a value its sender fills in and sends by pointer,
+// handed back to its Pool when the message carrying it is recycled. V keeps
+// what it last carried, so a slice-valued box reuses its backing array.
+type Box[T any] struct {
+	V    T
+	pool *Pool[T]
+}
+
+// Release returns the box to its pool; the bus calls it.
+func (x *Box[T]) Release() { x.pool.free = append(x.pool.free, x) }
+
+// Pool is a free list of payload boxes. It belongs to one sender (an agent
+// or a controller) and so to one simulation, never to package state:
+// simulations run concurrently, and each must allocate alike run to run.
+type Pool[T any] struct{ free []*Box[T] }
+
+// Get returns a box off the free list, or a new one.
+func (p *Pool[T]) Get() *Box[T] {
+	if n := len(p.free); n > 0 {
+		x := p.free[n-1]
+		p.free = p.free[:n-1]
+		return x
+	}
+	return &Box[T]{pool: p}
 }
 
 // Fire delivers the message when its latency elapses; it implements
@@ -46,7 +84,7 @@ func (m *Message) Fire(now time.Duration) {
 	m.pending--
 	switch {
 	case m.isReply:
-		m.onReply(now, m.Payload)
+		m.onReply(now, m)
 	case m.dst.h == nil:
 		b.dropped++
 	default:
@@ -58,8 +96,10 @@ func (m *Message) Fire(now time.Duration) {
 	}
 }
 
-// Handler processes a delivered message. The message is only valid until
-// the handler returns: the bus reuses it afterwards.
+// Handler processes a delivered message, or a reply handed to its
+// requester. The message and its payload are only valid until the handler
+// returns: the bus then reuses the message and releases the payload, so a
+// handler copies what it keeps.
 type Handler func(now time.Duration, msg *Message)
 
 // LatencyModel returns the one-way delivery delay between two endpoints.
@@ -177,16 +217,17 @@ func (b *Bus) SendTo(from, to *Endpoint, kind string, payload any) {
 }
 
 // Request dispatches a request by endpoint names; see RequestTo.
-func (b *Bus) Request(from, to, kind string, payload any, onReply func(now time.Duration, payload any)) {
-	b.RequestTo(b.Endpoint(from), b.Endpoint(to), kind, payload, onReply)
+func (b *Bus) Request(from, to, kind string, tag uint64, payload any, onReply Handler) {
+	b.RequestTo(b.Endpoint(from), b.Endpoint(to), kind, tag, payload, onReply)
 }
 
 // RequestTo dispatches a message and routes the response back through the
 // bus to from (paying latency both ways). The responder completes the
-// exchange by calling Reply on the delivered message.
-func (b *Bus) RequestTo(from, to *Endpoint, kind string, payload any, onReply func(now time.Duration, payload any)) {
+// exchange by calling Reply on the delivered message; onReply then receives
+// the reply, which carries the reply's payload and the request's tag.
+func (b *Bus) RequestTo(from, to *Endpoint, kind string, tag uint64, payload any, onReply Handler) {
 	m := b.message(from, to, kind, payload)
-	m.onReply = onReply
+	m.Tag, m.onReply = tag, onReply
 	b.dispatch(m)
 }
 
@@ -201,7 +242,7 @@ func (b *Bus) Reply(now time.Duration, msg *Message, payload any) {
 	// message.
 	kind := lookup(&b.replyKinds, msg.Kind, func() string { return "reply:" + msg.Kind })
 	r := b.message(msg.dst, msg.src, kind, payload)
-	r.onReply, r.isReply = msg.onReply, true
+	r.Tag, r.onReply, r.isReply = msg.Tag, msg.onReply, true
 	b.dispatch(r)
 }
 
@@ -221,9 +262,12 @@ func (b *Bus) message(from, to *Endpoint, kind string, payload any) *Message {
 	return m
 }
 
-// recycle clears a message whose deliveries are all done and puts it on the
-// free list.
+// recycle releases the payload of a message whose deliveries are all done,
+// clears the message and puts it on the free list.
 func (b *Bus) recycle(m *Message) {
+	if r, ok := m.Payload.(Releaser); ok {
+		r.Release()
+	}
 	*m = Message{bus: b}
 	b.free = append(b.free, m)
 }

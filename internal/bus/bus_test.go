@@ -38,9 +38,9 @@ func TestRequestReplyRoundTrip(t *testing.T) {
 	})
 	var replyAt time.Duration
 	var result any
-	b.Request("client", "server", "double", 21, func(now time.Duration, payload any) {
+	b.Request("client", "server", "double", 0, 21, func(now time.Duration, r *Message) {
 		replyAt = now
-		result = payload
+		result = r.Payload
 	})
 	e.Run(time.Second)
 	if result != 42 {
@@ -184,7 +184,7 @@ func TestPerturbAppliesToReplies(t *testing.T) {
 		return dropReplies && msg.Kind == "reply:ping", 0, 0
 	}
 	replies := 0
-	b.Request("cli", "svc", "ping", nil, func(time.Duration, any) { replies++ })
+	b.Request("cli", "svc", "ping", 0, nil, func(time.Duration, *Message) { replies++ })
 	e.Run(time.Second)
 	if replies != 0 {
 		t.Fatal("dropped reply was delivered")
@@ -197,7 +197,7 @@ func TestPerturbAppliesToReplies(t *testing.T) {
 		t.Errorf("perturbed kinds = %v", kinds)
 	}
 	dropReplies = false
-	b.Request("cli", "svc", "ping", nil, func(time.Duration, any) { replies++ })
+	b.Request("cli", "svc", "ping", 0, nil, func(time.Duration, *Message) { replies++ })
 	e.Run(2 * time.Second)
 	if replies != 1 {
 		t.Error("healed reply not delivered")
@@ -214,7 +214,7 @@ func TestDeliveryEventLabels(t *testing.T) {
 			b.Reply(now, msg, nil)
 		}
 	})
-	b.Request("cli", "svc", "ping", nil, func(time.Duration, any) {})
+	b.Request("cli", "svc", "ping", 0, nil, func(time.Duration, *Message) {})
 	b.Send("cli", "svc", "note", nil)
 	if got := e.Snapshot(); len(got) != 2 || got[0].Label != "bus:ping:svc" || got[1].Label != "bus:note:svc" {
 		t.Errorf("pending = %+v", got)
@@ -261,18 +261,19 @@ func TestSendAllocatesNothing(t *testing.T) {
 }
 
 // A round trip allocates nothing in steady state: request and reply are
-// both recycled, with no reply closure or wrapper message (payloads are
-// boxed by the caller).
+// both recycled, with no reply closure or wrapper message (the reply
+// payload here is boxed once, outside the loop; see
+// TestPooledRoundTripAllocatesNothing for payloads built per message).
 func TestRequestReplyAllocatesNothing(t *testing.T) {
 	e := sim.NewEngine()
 	b := New(e, ConstantLatency(time.Millisecond))
 	var result any = 42
 	b.Register("svc", func(now time.Duration, msg *Message) { b.Reply(now, msg, result) })
 	replies := 0
-	onReply := func(time.Duration, any) { replies++ }
+	onReply := func(time.Duration, *Message) { replies++ }
 	cli, svc := b.Endpoint("cli"), b.Endpoint("svc")
 	allocs := testing.AllocsPerRun(100, func() {
-		b.RequestTo(cli, svc, "read", nil, onReply)
+		b.RequestTo(cli, svc, "read", 0, nil, onReply)
 		e.Step()
 		e.Step()
 	})
@@ -384,8 +385,8 @@ func TestRepliesReachRequesterAfterReuse(t *testing.T) {
 	for round := 0; round < 5; round++ {
 		for _, cli := range []string{"a", "b"} {
 			cli := cli
-			b.Request(cli, "svc", "ask", fmt.Sprint(round), func(_ time.Duration, payload any) {
-				got[cli] = append(got[cli], payload.(string))
+			b.Request(cli, "svc", "ask", 0, fmt.Sprint(round), func(_ time.Duration, r *Message) {
+				got[cli] = append(got[cli], r.Payload.(string))
 			})
 		}
 		e.RunAll()
@@ -403,5 +404,202 @@ func TestRepliesReachRequesterAfterReuse(t *testing.T) {
 	// was still being handled; the second reply reuses the first request.
 	if len(b.free) != 3 {
 		t.Errorf("free list holds %d messages, want the 3 a round needs", len(b.free))
+	}
+}
+
+// released is a payload that counts its releases.
+type released struct{ n int }
+
+func (r *released) Release() { r.n++ }
+
+// A payload with a release hook is released exactly once, when its message
+// is recycled: after the last of its injected duplicates has fired, at once
+// on a Perturb drop (a reply's included), and at once for an unregistered
+// destination.
+func TestPayloadReleasedOnceWhenRecycled(t *testing.T) {
+	e := sim.NewEngine()
+	b := New(e, ConstantLatency(10*time.Millisecond))
+	var atDelivery []int
+	b.Register("dst", func(_ time.Duration, msg *Message) {
+		atDelivery = append(atDelivery, msg.Payload.(*released).n)
+	})
+	b.Perturb = func(_ time.Duration, msg *Message) (bool, time.Duration, int) {
+		switch msg.Kind {
+		case "lost", "reply:ask":
+			return true, 0, 0
+		case "dup":
+			return false, 0, 2
+		case "late":
+			return false, 50 * time.Millisecond, 1
+		}
+		return false, 0, 0
+	}
+
+	lost := &released{}
+	b.Send("src", "dst", "lost", lost)
+	if lost.n != 1 || e.Pending() != 0 {
+		t.Fatalf("dropped payload: %d releases with %d events pending, want 1 at once", lost.n, e.Pending())
+	}
+
+	dup, late := &released{}, &released{}
+	b.Send("src", "dst", "dup", dup)
+	b.Send("src", "dst", "late", late)
+	e.Run(20 * time.Millisecond)
+	if dup.n != 1 || late.n != 0 {
+		t.Fatalf("after the duplicates fired: dup %d, late %d releases; want 1, 0", dup.n, late.n)
+	}
+	e.RunAll()
+	if late.n != 1 {
+		t.Fatalf("delayed payload released %d times, want 1", late.n)
+	}
+	// No copy saw its payload released: release follows the last delivery.
+	if fmt.Sprint(atDelivery) != "[0 0 0 0 0]" {
+		t.Errorf("releases seen at each delivery = %v, want five 0s", atDelivery)
+	}
+
+	ghost := &released{}
+	b.Send("src", "ghost", "x", ghost)
+	if ghost.n != 0 {
+		t.Fatal("payload released before its message arrived")
+	}
+	e.Step()
+	if ghost.n != 1 {
+		t.Errorf("payload to an unregistered endpoint released %d times, want 1", ghost.n)
+	}
+
+	// A dropped reply releases its payload inside Reply; the request's own
+	// payload goes once the handler returns.
+	req, rep := &released{}, &released{}
+	b.Register("svc", func(now time.Duration, msg *Message) {
+		b.Reply(now, msg, rep)
+		if rep.n != 1 || req.n != 0 {
+			t.Errorf("in the handler: reply %d, request %d releases; want 1, 0", rep.n, req.n)
+		}
+	})
+	b.Request("src", "svc", "ask", 0, req, func(time.Duration, *Message) { t.Error("dropped reply delivered") })
+	e.RunAll()
+	if req.n != 1 || rep.n != 1 {
+		t.Errorf("after the exchange: request %d, reply %d releases; want 1, 1", req.n, rep.n)
+	}
+}
+
+// A pooled payload is reused only once its message is recycled, so every
+// duplicate and every delayed copy shows its handler or reply callback the
+// values its sender put in, though both sides keep taking boxes from the
+// same pools in between; and each reply carries its request's tag.
+func TestPooledPayloadIntactInEveryCopy(t *testing.T) {
+	e := sim.NewEngine()
+	b := New(e, ConstantLatency(10*time.Millisecond))
+	var cmds, notes, answers Pool[int]
+	send := func(pool *Pool[int], kind string, v int) {
+		x := pool.Get()
+		x.V = v
+		b.Send("src", "dst", kind, x)
+	}
+	var cmdSeen, noteSeen []int
+	b.Register("dst", func(_ time.Duration, msg *Message) {
+		v := msg.Payload.(*Box[int]).V
+		if msg.Kind == "note" {
+			noteSeen = append(noteSeen, v)
+			return
+		}
+		cmdSeen = append(cmdSeen, v)
+		send(&notes, "note", 100+v) // a send between the copies
+	})
+	b.Register("svc", func(now time.Duration, msg *Message) {
+		x := answers.Get()
+		x.V = 2 * int(msg.Tag)
+		b.Reply(now, msg, x)
+	})
+	// Every command and reply is duplicated; odd ones are also delayed, so
+	// copies of different messages interleave.
+	b.Perturb = func(_ time.Duration, msg *Message) (bool, time.Duration, int) {
+		var v int
+		switch msg.Kind {
+		case "cmd":
+			v = msg.Payload.(*Box[int]).V
+		case "reply:ask":
+			v = int(msg.Tag)
+		default:
+			return false, 0, 0
+		}
+		return false, time.Duration(v%2) * 25 * time.Millisecond, 1
+	}
+	var replies []string
+	onReply := func(_ time.Duration, r *Message) {
+		replies = append(replies, fmt.Sprint(r.Tag, ":", r.Payload.(*Box[int]).V))
+	}
+	for i := 0; i < 6; i++ {
+		send(&cmds, "cmd", i)
+		b.Request("cli", "svc", "ask", uint64(i), nil, onReply)
+		e.Run(e.Now() + 5*time.Millisecond)
+	}
+	e.RunAll()
+
+	count := func(seen []int) map[int]int {
+		m := map[int]int{}
+		for _, v := range seen {
+			m[v]++
+		}
+		return m
+	}
+	cmdCount, noteCount := count(cmdSeen), count(noteSeen)
+	for i := 0; i < 6; i++ {
+		if cmdCount[i] != 2 || noteCount[100+i] != 2 {
+			t.Errorf("value %d: %d command and %d note deliveries, want 2 and 2 (commands %v, notes %v)",
+				i, cmdCount[i], noteCount[100+i], cmdSeen, noteSeen)
+		}
+	}
+	replyCount := map[string]int{}
+	for _, r := range replies {
+		replyCount[r]++
+	}
+	for i := 0; i < 6; i++ {
+		if k := fmt.Sprint(i, ":", 2*i); replyCount[k] != 2 {
+			t.Errorf("reply %s delivered %d times, want 2 (replies %v)", k, replyCount[k], replies)
+		}
+	}
+	// Every box came back, and no more were made than were ever in flight.
+	for name, p := range map[string]*Pool[int]{"cmds": &cmds, "notes": &notes, "answers": &answers} {
+		if n := len(p.free); n == 0 || n > 6 {
+			t.Errorf("%s pool holds %d boxes after the run, want between 1 and 6", name, n)
+		}
+	}
+}
+
+// A pooled request/reply round trip allocates nothing in steady state:
+// both payloads come from pools, their slices keep their backing arrays,
+// and the bus hands each box back when its message is recycled.
+func TestPooledRoundTripAllocatesNothing(t *testing.T) {
+	e := sim.NewEngine()
+	b := New(e, ConstantLatency(time.Millisecond))
+	var asks, answers Pool[[]int]
+	b.Register("svc", func(now time.Duration, msg *Message) {
+		x := answers.Get()
+		x.V = append(x.V[:0], msg.Payload.(*Box[[]int]).V...)
+		b.Reply(now, msg, x)
+	})
+	sum := 0
+	onReply := func(_ time.Duration, r *Message) {
+		for _, v := range r.Payload.(*Box[[]int]).V {
+			sum += v
+		}
+	}
+	cli, svc := b.Endpoint("cli"), b.Endpoint("svc")
+	allocs := testing.AllocsPerRun(100, func() {
+		x := asks.Get()
+		x.V = append(x.V[:0], 1, 2, 3)
+		b.RequestTo(cli, svc, "read", 7, x, onReply)
+		e.Step()
+		e.Step()
+	})
+	if allocs != 0 {
+		t.Errorf("pooled Request→Reply→onReply allocates %v times, want 0", allocs)
+	}
+	if sum != 6*101 {
+		t.Errorf("replies summed to %d, want %d", sum, 6*101)
+	}
+	if len(asks.free) != 1 || len(answers.free) != 1 {
+		t.Errorf("pools hold %d and %d boxes, want one each", len(asks.free), len(answers.free))
 	}
 }

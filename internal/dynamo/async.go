@@ -32,17 +32,24 @@ import (
 //
 // Protocol, all over internal/bus:
 //
-//	controller → agent   "read"        → reply Snapshot
+//	controller → agent   "read"        → reply *bus.Box[Snapshot]
 //	controller → agent   "override"    (units.Current; one-way)
-//	controller → agent   "cap"/"uncap" (CapRequest; one-way)
+//	controller → agent   "cap"/"uncap" (CapRequest/string; one-way)
 //	controller → agent   "heartbeat"   (one-way watchdog keepalive)
 //	controller → agent   "postpone"    (pause a charge; one-way)
 //	controller → agent   "resume"      (units.Current admission grant; one-way)
-//	upper → leaf         "aggregate"   → reply AggregateReply
+//	upper → leaf         "aggregate"   → reply *bus.Box[AggregateReply]
 //	upper → leaf         "setcurrents" (map[string]units.Current; one-way)
 //	upper → leaf         "caps"        (map[string]units.Power; one-way)
+//	upper → leaf         "uncaps"      (*bus.Box[[]string]; one-way)
 //	upper → leaf         "pausecharges"  ([]string; one-way)
 //	upper → leaf         "resumecharges" (map[string]units.Current; one-way)
+//
+// The boxed payloads are the ones every quiescent poll sends. Each comes
+// from a free list its sender owns, and the bus hands it back when the
+// message carrying it is recycled, so a receiver copies what it keeps. A
+// request carries its poll generation as its tag, and the reply brings the
+// tag back, so a reply counts only toward the generation that asked.
 //
 // Degraded modes: a poll generation no longer waits forever for lost
 // replies — it evaluates at a deadline from whatever telemetry arrived, with
@@ -145,7 +152,8 @@ type AsyncAgent struct {
 	b           *bus.Bus
 	engine      *sim.Engine
 	settle      time.Duration
-	sched       *faults.Component // the agent's crash schedule; nil never crashes
+	sched       *faults.Component  // the agent's crash schedule; nil never crashes
+	snaps       bus.Pool[Snapshot] // read replies
 }
 
 // AgentEndpoint returns the bus endpoint name for a rack.
@@ -177,7 +185,9 @@ func (a *AsyncAgent) handle(now time.Duration, msg *bus.Message) {
 	}
 	switch msg.Kind {
 	case "read":
-		a.b.Reply(now, msg, snapshotRack(a.r, now))
+		x := a.snaps.Get()
+		x.V = snapshotRack(a.r, now)
+		a.b.Reply(now, msg, x)
 	case "override":
 		i := msg.Payload.(units.Current)
 		if a.settle <= 0 {
@@ -239,9 +249,12 @@ type AsyncLeaf struct {
 	resyncing  bool // the first generation after a restart rebuilds was
 
 	// Built once: the cap sources (boxed as uncap payloads) of the leaf's
-	// own caps and those it forwards.
+	// own caps and those it forwards, and the read-reply callback.
 	upperSource           string
 	uncapSelf, uncapUpper any
+	onRead                bus.Handler
+
+	aggs bus.Pool[AggregateReply] // aggregate replies, rack slices reused
 }
 
 // leafRack is one polled rack: its agent's endpoint and latest snapshot.
@@ -278,6 +291,7 @@ func NewAsyncLeafOpts(b *bus.Bus, engine *sim.Engine, node *power.Node, agentRac
 	l.self = b.Endpoint(name)
 	l.upperSource = name + "/upper"
 	l.uncapSelf, l.uncapUpper = name, l.upperSource
+	l.onRead = l.readReply
 	for _, r := range agentRacks {
 		ep := b.Endpoint(AgentEndpoint(r.Name()))
 		l.agents = append(l.agents, ep)
@@ -311,18 +325,21 @@ func (l *AsyncLeaf) resync(time.Duration) { l.resyncing = true }
 // request asks every agent for a fresh snapshot. The generation evaluates
 // when the last reply arrives, or — should replies be lost — at the
 // evaluation deadline, from whatever telemetry did arrive.
-func (l *AsyncLeaf) request(_ time.Duration, g *pollGen) {
-	onReply := func(now time.Duration, payload any) {
-		snap := payload.(Snapshot)
-		// A delayed duplicate must not overwrite newer telemetry.
-		if c := &l.racks[l.slot[snap.Name]]; !c.have || snap.Taken >= c.snap.Taken {
-			c.snap, c.have = snap, true
-		}
-		g.replied(now)
-	}
+func (l *AsyncLeaf) request(_ time.Duration, gen uint64) {
 	for _, ep := range l.agents {
-		l.b.RequestTo(l.self, ep, "read", nil, onReply)
+		l.b.RequestTo(l.self, ep, "read", gen, nil, l.onRead)
 	}
+}
+
+// readReply caches a read reply's snapshot and counts the reply toward the
+// generation that asked for it.
+func (l *AsyncLeaf) readReply(now time.Duration, r *bus.Message) {
+	snap := &r.Payload.(*bus.Box[Snapshot]).V
+	// A delayed duplicate must not overwrite newer telemetry.
+	if c := &l.racks[l.slot[snap.Name]]; !c.have || snap.Taken >= c.snap.Taken {
+		c.snap, c.have = *snap, true
+	}
+	l.replied(now, r.Tag)
 }
 
 // appendSnapshots appends the cached snapshots to dst in name order,
@@ -488,9 +505,10 @@ func (l *AsyncLeaf) handle(now time.Duration, msg *bus.Message) {
 	}
 	switch msg.Kind {
 	case "aggregate":
-		// A fresh slice: the upper keeps the reply until the next one.
-		snaps := l.appendSnapshots(make([]Snapshot, 0, len(l.racks)))
-		l.b.Reply(now, msg, AggregateReply{Power: l.draw(snaps), Racks: snaps})
+		x := l.aggs.Get()
+		x.V.Racks = l.appendSnapshots(x.V.Racks[:0])
+		x.V.Power = l.draw(x.V.Racks)
+		l.b.Reply(now, msg, x)
 	case "setcurrents":
 		currents := msg.Payload.(map[string]units.Current)
 		for _, name := range sortedKeys(currents) {
@@ -502,7 +520,7 @@ func (l *AsyncLeaf) handle(now time.Duration, msg *bus.Message) {
 			l.b.SendTo(l.self, l.agentOf(name), "cap", CapRequest{Source: l.upperSource, Level: caps[name]})
 		}
 	case "uncaps":
-		for _, name := range msg.Payload.([]string) {
+		for _, name := range msg.Payload.(*bus.Box[[]string]).V {
 			l.b.SendTo(l.self, l.agentOf(name), "uncap", l.uncapUpper)
 		}
 	case "pausecharges":
@@ -551,10 +569,14 @@ type AsyncUpper struct {
 	byName     []int           // leaf indices ordered by their first rack's name
 	byEndpoint []int           // leaf indices ordered by endpoint name: the send order
 	pollPeriod time.Duration
-	agg        []AggregateReply // each leaf's latest reply, by leaf index
-	snaps      []Snapshot       // evaluate's view buffer, reused every generation
-	was        map[string]bool
-	resyncing  bool // the first generation after a restart rebuilds was and the queue
+	// agg holds a copy of each leaf's latest reply, by leaf index, in
+	// buffers the upper owns: the reply itself goes back to its leaf.
+	agg         []AggregateReply
+	onAggregate []bus.Handler      // each leaf's reply callback, by leaf index
+	names       bus.Pool[[]string] // uncaps lists
+	snaps       []Snapshot         // evaluate's view buffer, reused every generation
+	was         map[string]bool
+	resyncing   bool // the first generation after a restart rebuilds was and the queue
 
 	// The admission grants in flight: racks told to resume that telemetry
 	// has not yet confirmed charging. A grant unconfirmed past the resume
@@ -593,6 +615,11 @@ func NewAsyncUpperOpts(b *bus.Bus, engine *sim.Engine, node *power.Node, leaves 
 		u.leaves = append(u.leaves, b.Endpoint(l.comp))
 		u.byName = append(u.byName, i)
 		u.byEndpoint = append(u.byEndpoint, i)
+		u.onAggregate = append(u.onAggregate, func(now time.Duration, r *bus.Message) {
+			rep, a := &r.Payload.(*bus.Box[AggregateReply]).V, &u.agg[i]
+			a.Power, a.Racks = rep.Power, append(a.Racks[:0], rep.Racks...)
+			u.replied(now, r.Tag)
+		})
 	}
 	// Flattening the aggregates in this order yields a name-sorted view
 	// outright whenever each leaf owns a contiguous range of rack names.
@@ -614,7 +641,9 @@ func (u *AsyncUpper) StormQueue() *storm.Queue { return u.stormQ }
 // forget drops the aggregates, charge tracking and admission grants a crash
 // loses.
 func (u *AsyncUpper) forget(time.Duration) {
-	clear(u.agg)
+	for i := range u.agg {
+		u.agg[i] = AggregateReply{Racks: u.agg[i].Racks[:0]}
+	}
 	u.was = make(map[string]bool)
 	if u.stormQ != nil {
 		u.resumed = make(map[string]time.Duration)
@@ -626,12 +655,9 @@ func (u *AsyncUpper) forget(time.Duration) {
 func (u *AsyncUpper) resync(time.Duration) { u.resyncing = true }
 
 // request asks every leaf for its aggregate.
-func (u *AsyncUpper) request(_ time.Duration, g *pollGen) {
+func (u *AsyncUpper) request(_ time.Duration, gen uint64) {
 	for i, ep := range u.leaves {
-		u.b.RequestTo(u.self, ep, "aggregate", nil, func(now time.Duration, payload any) {
-			u.agg[i] = payload.(AggregateReply)
-			g.replied(now)
-		})
+		u.b.RequestTo(u.self, ep, "aggregate", gen, nil, u.onAggregate[i])
 	}
 }
 
@@ -852,12 +878,12 @@ func (u *AsyncUpper) protect(now time.Duration, snaps []Snapshot) {
 	excess := u.excess(now, snaps)
 	if excess <= 0 {
 		for li, ep := range u.leaves {
-			racks := u.agg[li].Racks
-			names := make([]string, len(racks))
-			for i := range racks {
-				names[i] = racks[i].Name
+			x := u.names.Get()
+			x.V = x.V[:0]
+			for _, s := range u.agg[li].Racks {
+				x.V = append(x.V, s.Name)
 			}
-			u.b.SendTo(u.self, ep, "uncaps", names)
+			u.b.SendTo(u.self, ep, "uncaps", x)
 		}
 		return
 	}

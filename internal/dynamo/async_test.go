@@ -61,8 +61,8 @@ func TestAsyncAgentReadAndOverride(t *testing.T) {
 
 	var snap Snapshot
 	got := false
-	b.Request("test", AgentEndpoint(racks[0].Name()), "read", nil, func(_ time.Duration, payload any) {
-		snap = payload.(Snapshot)
+	b.Request("test", AgentEndpoint(racks[0].Name()), "read", 0, nil, func(_ time.Duration, r *bus.Message) {
+		snap = r.Payload.(*bus.Box[Snapshot]).V
 		got = true
 	})
 	engine.Run(46 * time.Second)
@@ -264,10 +264,12 @@ func TestAsyncSurvivesMessageLoss(t *testing.T) {
 }
 
 // asyncPollAllocBudget is the exact allocation count of one quiescent poll
-// generation over ten racks: the generation and its reply callback, and per
-// rack the boxed snapshot its agent replies with. Messages, delivery events
-// and the poller's next tick are all reused.
-const asyncPollAllocBudget = 12
+// generation over ten racks. It was 12: the generation and its reply
+// callback, and per rack the snapshot its agent boxed into the reply. Now
+// the generation is a number, the callback is built once, and each agent
+// takes its reply box from its own free list; messages, delivery events and
+// the poller's next tick were already reused.
+const asyncPollAllocBudget = 0
 
 // A poll generation's allocations are gated exactly: they are deterministic,
 // and the message plane's cost per poll is what the distributed plane's
@@ -292,5 +294,86 @@ func TestAsyncLeafPollAllocations(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(20, generation); allocs != asyncPollAllocBudget {
 		t.Errorf("one poll generation allocates %v times, want exactly %d", allocs, asyncPollAllocBudget)
+	}
+}
+
+// A quiescent poll period of the 30-rack plane BenchmarkAsyncPollPeriod
+// times (upper, leaves and agents, no faults) allocates nothing: read
+// replies, aggregate replies and uncaps lists all travel in pooled boxes,
+// and the upper copies each aggregate into a buffer it owns.
+func TestAsyncPlanePollPeriodAllocatesNothing(t *testing.T) {
+	engine, period := asyncPlane30(t, false)
+	now := time.Duration(0)
+	step := func() {
+		now += period
+		engine.Run(now)
+	}
+	for i := 0; i < 20; i++ { // grow queues, free lists and buffers
+		step()
+	}
+	executed := engine.Executed()
+	if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+		t.Errorf("one quiescent 30-rack poll period allocates %v times, want 0", allocs)
+	}
+	// The period still does all of its work: 137 events (reads, replies,
+	// aggregates, uncaps, deadlines and ticks).
+	if per := (engine.Executed() - executed) / 51; per != 137 {
+		t.Errorf("a period executed %d events, want 137", per)
+	}
+}
+
+// fakePoller records what a pollLoop asks of its controller.
+type fakePoller struct {
+	down      bool
+	requested []uint64
+	evaluated []time.Duration
+}
+
+func (f *fakePoller) live(time.Duration) bool             { return !f.down }
+func (f *fakePoller) Down() bool                          { return f.down }
+func (f *fakePoller) request(_ time.Duration, gen uint64) { f.requested = append(f.requested, gen) }
+func (f *fakePoller) evaluate(now time.Duration)          { f.evaluated = append(f.evaluated, now) }
+
+// A reply counts only toward the generation whose request it answers, and a
+// deadline only for its own generation, even when the next poll opens
+// first: with EvalFraction 1 a deadline lands on the instant of the next
+// poll, and an injected delay can land a reply after it.
+func TestPollLoopCountsRepliesByGeneration(t *testing.T) {
+	const period = 3 * time.Second
+	engine := sim.NewEngine()
+	f := &fakePoller{}
+	p := newPollLoop(f, engine, "test", 2, AsyncOptions{EvalFraction: 1}.evalAfter(period))
+	at := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
+	// Polls are scheduled before any deadline is posted, so at 6 s the
+	// second poll opens before the first generation's deadline fires.
+	for _, s := range []float64{3, 6, 9} {
+		engine.ScheduleAt(at(s), "poll", p.tick)
+	}
+	reply := func(s float64, gen uint64) {
+		engine.ScheduleAt(at(s), "reply", func(now time.Duration) { p.replied(now, gen) })
+	}
+	reply(3.5, 1)
+	reply(6.5, 1) // late: answers generation 1 after generation 2 opened
+	reply(6.5, 2)
+	reply(7, 2)
+
+	engine.Run(at(6))
+	if len(f.evaluated) != 0 {
+		t.Fatalf("generation 1's deadline evaluated generation 2 at %v", f.evaluated)
+	}
+	engine.Run(at(6.5))
+	if len(f.evaluated) != 0 {
+		t.Fatalf("a late reply completed generation 2 at %v", f.evaluated)
+	}
+	// Generation 2 evaluates at its last reply, its deadline at 9 s does
+	// nothing more, and generation 3, with no replies, at its deadline.
+	engine.Run(at(12))
+	if fmt.Sprint(f.evaluated) != fmt.Sprint([]time.Duration{at(7), at(12)}) {
+		t.Errorf("evaluations at %v, want at 7s (last reply) and 12s (deadline)", f.evaluated)
+	}
+	f.down = true
+	p.tick(at(12))
+	if fmt.Sprint(f.requested) != "[1 2 3]" {
+		t.Errorf("requested generations %v, want [1 2 3]", f.requested)
 	}
 }

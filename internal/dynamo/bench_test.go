@@ -76,7 +76,7 @@ func BenchmarkAsyncPollPeriod(b *testing.B) {
 
 // asyncPlane30 wires the 30-rack distributed control plane over an engine
 // and returns the engine and the poll period.
-func asyncPlane30(b *testing.B, withFaults bool) (*sim.Engine, time.Duration) {
+func asyncPlane30(b testing.TB, withFaults bool) (*sim.Engine, time.Duration) {
 	const poll = 3 * time.Second
 	racks := make([]*rack.Rack, 30)
 	loads := make([]power.Load, len(racks))

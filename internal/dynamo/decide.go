@@ -542,8 +542,9 @@ func (t *overrideTracker) reset() {
 type poller interface {
 	live(now time.Duration) bool
 	Down() bool
-	// request sends one generation's requests; each reply calls g.replied.
-	request(now time.Duration, g *pollGen)
+	// request sends generation gen's requests, tagged gen; each reply
+	// calls replied with its tag.
+	request(now time.Duration, gen uint64)
 	// evaluate decides from the telemetry the generation gathered.
 	evaluate(now time.Duration)
 }
@@ -551,14 +552,23 @@ type poller interface {
 // pollLoop is the poll-generation lifecycle the message-driven controllers
 // share: every poll period it runs the crash schedule, opens a generation,
 // has the controller send its requests, and arms the generation's
-// evaluation deadline.
+// evaluation deadline. Only the newest generation can still evaluate, so
+// its reply count and evaluated flag are all the state a generation needs;
+// replies and deadlines name their generation by number.
 type pollLoop struct {
 	ctl           poller
 	engine        *sim.Engine
-	gen           uint64
-	peers         int // replies a generation awaits
+	gen           uint64 // the newest generation
+	pending       int    // replies the newest generation still awaits
+	evaluated     bool   // the newest generation has evaluated
+	peers         int    // replies a generation awaits
 	evalAfter     time.Duration
 	deadlineLabel string
+	// deadlines holds the evaluation deadlines by generation parity. The
+	// deadline comes at most one poll period after its generation opens
+	// (EvalFraction ≤ 1), so it can still be pending when the next
+	// generation opens, but it has fired before the one after that.
+	deadlines [2]pollDeadline
 }
 
 func newPollLoop(ctl poller, engine *sim.Engine, name string, peers int, evalAfter time.Duration) pollLoop {
@@ -570,36 +580,41 @@ func (p *pollLoop) tick(now time.Duration) {
 		return
 	}
 	p.gen++
-	g := &pollGen{loop: p, gen: p.gen, pending: p.peers}
-	p.ctl.request(now, g)
-	p.engine.PostAfter(p.evalAfter, p.deadlineLabel, g)
+	p.pending, p.evaluated = p.peers, false
+	p.ctl.request(now, p.gen)
+	d := &p.deadlines[p.gen%2]
+	d.loop, d.gen = p, p.gen
+	p.engine.PostAfter(p.evalAfter, p.deadlineLabel, d)
 }
 
-// pollGen is one poll generation: the replies it still awaits and whether it
-// has evaluated. Each generation counts its own replies, so a late reply to
-// an older poll never completes a newer one.
-type pollGen struct {
-	loop      *pollLoop
-	gen       uint64
-	pending   int
-	evaluated bool
-}
-
-// replied counts one reply, evaluating once the last one is in.
-func (g *pollGen) replied(now time.Duration) {
-	g.pending--
-	if g.pending == 0 {
-		g.Fire(now)
-	}
-}
-
-// Fire evaluates the generation at most once — at its last reply or at its
-// deadline, whichever comes first — unless a newer poll or a crash has
-// superseded it.
-func (g *pollGen) Fire(now time.Duration) {
-	if g.evaluated || g.gen != g.loop.gen || g.loop.ctl.Down() {
+// replied counts one reply to generation gen, evaluating once the last one
+// is in. A late reply to an older poll never completes a newer one.
+func (p *pollLoop) replied(now time.Duration, gen uint64) {
+	if gen != p.gen {
 		return
 	}
-	g.evaluated = true
-	g.loop.ctl.evaluate(now)
+	p.pending--
+	if p.pending == 0 {
+		p.fire(now, gen)
+	}
 }
+
+// fire evaluates generation gen at most once — at its last reply or at its
+// deadline, whichever comes first — unless a newer poll or a crash has
+// superseded it.
+func (p *pollLoop) fire(now time.Duration, gen uint64) {
+	if p.evaluated || gen != p.gen || p.ctl.Down() {
+		return
+	}
+	p.evaluated = true
+	p.ctl.evaluate(now)
+}
+
+// pollDeadline is one generation's evaluation deadline, posted to the
+// engine as its own event.
+type pollDeadline struct {
+	loop *pollLoop
+	gen  uint64
+}
+
+func (d *pollDeadline) Fire(now time.Duration) { d.loop.fire(now, d.gen) }

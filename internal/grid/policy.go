@@ -1,8 +1,11 @@
 package grid
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"time"
 
 	"coordcharge/internal/core"
@@ -103,6 +106,7 @@ type Policy struct {
 
 	shaving  []*rack.Rack // discharge order preserved for determinism
 	shaveSet map[string]bool
+	order    []*rack.Rack // shedOrder's buffer, reused every call
 
 	metrics Metrics
 
@@ -579,21 +583,24 @@ func (p *Policy) eligibleToShave(r *rack.Rack) bool {
 }
 
 // shedOrder returns racks in cap-enforcement order: reverse priority,
-// deepest discharge first, then name — the breaker guard's ladder.
+// deepest discharge first, then name — the breaker guard's ladder. The
+// slice is the policy's buffer, valid until the next call.
 func (p *Policy) shedOrder() []*rack.Rack {
-	order := make([]*rack.Rack, len(p.racks))
-	copy(order, p.racks)
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.Priority() != b.Priority() {
-			return a.Priority() > b.Priority()
-		}
-		if a.BatteryDOD() != b.BatteryDOD() {
-			return a.BatteryDOD() > b.BatteryDOD()
-		}
-		return a.Name() < b.Name()
-	})
-	return order
+	p.order = append(p.order[:0], p.racks...)
+	slices.SortStableFunc(p.order, shedCmp)
+	return p.order
+}
+
+// shedCmp orders two racks for shedOrder: a total order on (priority
+// descending, DOD descending, name).
+func shedCmp(a, b *rack.Rack) int {
+	if pa, pb := a.Priority(), b.Priority(); pa != pb {
+		return cmp.Compare(pb, pa)
+	}
+	if da, db := a.BatteryDOD(), b.BatteryDOD(); da != db {
+		return cmp.Compare(db, da)
+	}
+	return strings.Compare(a.Name(), b.Name())
 }
 
 // enforceCap brings feed draw under the effective cap within this tick when
@@ -665,16 +672,16 @@ func (p *Policy) repairSLA(now time.Duration) {
 		return
 	}
 	safe := p.ccfg.SafeCurrent()
+	if !slices.ContainsFunc(p.racks, func(r *rack.Rack) bool { return p.repairable(r, safe) }) {
+		return // nothing to repair: skip the sort
+	}
 	order := p.shedOrder()
 	for i := len(order) - 1; i >= 0; i-- {
 		r := order[i]
-		if !r.InputUp() || !r.Charging() || p.shaveSet[r.Name()] {
+		if !p.repairable(r, safe) {
 			continue
 		}
 		setpoint := r.Pack().Setpoint()
-		if setpoint > safe {
-			continue
-		}
 		remaining := p.ccfg.Deadlines[r.Priority()] - (now - r.ChargeStart())
 		want, _ := p.ccfg.SLACurrentWithin(r.Priority(), r.BatteryDOD(), remaining)
 		if want <= setpoint {
@@ -692,6 +699,12 @@ func (p *Policy) repairSLA(now time.Duration) {
 				"rack", r.Name(), "amps", fmt.Sprintf("%d", int(want)))
 		}
 	}
+}
+
+// repairable reports whether repairSLA may act on r: a charge on input
+// power, not shaving, whose setpoint sits at or below the safe current.
+func (p *Policy) repairable(r *rack.Rack, safe units.Current) bool {
+	return r.InputUp() && r.Charging() && r.Pack().Setpoint() <= safe && !p.shaveSet[r.Name()]
 }
 
 // Account closes the tick: it measures the draw the feed actually presented

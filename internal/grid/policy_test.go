@@ -1,12 +1,14 @@
 package grid
 
 import (
+	"strings"
 	"testing"
 	"time"
 
 	"coordcharge/internal/battery"
 	"coordcharge/internal/charger"
 	"coordcharge/internal/core"
+	"coordcharge/internal/obs"
 	"coordcharge/internal/power"
 	"coordcharge/internal/rack"
 	"coordcharge/internal/storm"
@@ -366,5 +368,49 @@ func TestAccountScoresViolationsAndIntegrals(t *testing.T) {
 	}
 	if m.GridEnergy.KWh() < 6.2 || m.GridEnergy.KWh() > 6.4 {
 		t.Fatalf("GridEnergy = %v kWh", m.GridEnergy.KWh())
+	}
+}
+
+// A tick with no repairable charge allocates nothing: repairSLA returns
+// before it builds the shed order. Once charges are demoted to the safe
+// current, repairs run in the ladder's reverse: most critical class first,
+// shallowest discharge first, then name descending.
+func TestRepairSLASkipsSortAndKeepsOrder(t *testing.T) {
+	racks := []*rack.Rack{
+		drainedChargingRack(t, "e3", rack.P3, 9000*units.Watt),
+		drainedChargingRack(t, "c2", rack.P2, 9000*units.Watt),
+		drainedChargingRack(t, "d2", rack.P2, 9000*units.Watt),
+		drainedChargingRack(t, "b1", rack.P1, 11000*units.Watt),
+		drainedChargingRack(t, "a1", rack.P1, 9000*units.Watt),
+	}
+	p, _, _ := rig(t, &Spec{}, 1000*units.Kilowatt, racks...)
+	sink := obs.NewSink(64)
+	p.SetObs(sink)
+	now := 3 * time.Minute
+	// Every charge runs at 5 A, above the safe current: nothing to repair.
+	if allocs := testing.AllocsPerRun(50, func() { p.Tick(now) }); allocs != 0 {
+		t.Errorf("a tick with no repairable charge allocates %v times, want 0", allocs)
+	}
+	if n := p.Metrics().SLARepairs; n != 0 {
+		t.Fatalf("%d repairs with every charge above the safe current", n)
+	}
+
+	safe := core.DefaultConfig().SafeCurrent()
+	for _, r := range racks {
+		r.OverrideCurrent(safe)
+	}
+	p.Tick(now)
+	var order []string
+	for _, e := range sink.Flight.Last(64) {
+		if e.Kind == "sla-repair" {
+			order = append(order, e.Attr["rack"])
+		}
+	}
+	if got, want := strings.Join(order, " "), "a1 b1 d2 c2 e3"; got != want {
+		t.Errorf("repair order = %q, want %q", got, want)
+	}
+	// Repaired charges are above the safe current again.
+	if allocs := testing.AllocsPerRun(50, func() { p.Tick(now) }); allocs != 0 {
+		t.Errorf("a tick after the repairs allocates %v times, want 0", allocs)
 	}
 }

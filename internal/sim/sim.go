@@ -24,7 +24,7 @@ type Handler func(now time.Duration)
 func (h Handler) Fire(now time.Duration) { h(now) }
 
 // Target is anything that runs itself when its event comes due. A payload
-// that implements it (a bus message, a controller's poll generation) is
+// that implements it (a bus message, a controller's poll deadline) is
 // posted directly, with no closure wrapped around it.
 type Target interface {
 	Fire(now time.Duration)
