@@ -5,7 +5,7 @@ BENCH_OUT ?= BENCH_latest.json
 # The committed baseline the regression gate compares against; refresh with
 # `make bench-json BENCH_OUT=BENCH_PR<N>.json` when a PR changes performance
 # on purpose.
-BENCH_BASELINE ?= BENCH_PR25.json
+BENCH_BASELINE ?= BENCH_PR26.json
 BENCH_TOLERANCE ?= 25
 # Benchmarks cheaper than this (ns/op in the baseline) are reported but not
 # gated: at one measured iteration their timing is scheduler noise.

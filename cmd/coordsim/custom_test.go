@@ -153,8 +153,10 @@ func TestKernelLine(t *testing.T) {
 	}{
 		{"default", nil, "", "  kernel:                   event, "},
 		{"requested dense", nil, scenario.KernelDense, "  kernel:                   dense (requested)\n"},
-		{"grid forces dense", []string{"-storm", "90s", "-grid", "capshrink=10m+20m(0.3)"}, scenario.KernelEvent,
-			"  kernel:                   dense (grid plane)\n"},
+		{"grid runs event", []string{"-storm", "90s", "-grid", "capshrink=10m+20m(0.3)"}, scenario.KernelEvent,
+			"  kernel:                   event, "},
+		{"faults force dense", []string{"-faults", "default"}, scenario.KernelEvent,
+			"  kernel:                   dense (fault injection)\n"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			q := svc.PaperRun()

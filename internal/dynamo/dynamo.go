@@ -151,54 +151,59 @@ func (a *Agent) Latency() time.Duration { return a.latency }
 
 // snapshotRack builds a timestamped telemetry snapshot of a rack.
 func snapshotRack(r *rack.Rack, now time.Duration) Snapshot {
-	return Snapshot{
-		Taken:       now,
-		Name:        r.Name(),
-		Priority:    r.Priority(),
-		Demand:      r.Demand(),
-		ITLoad:      r.ITLoad(),
-		Recharge:    r.RechargePower(),
-		DOD:         r.LastDOD(),
-		PendingDOD:  r.PendingDOD(),
-		Charging:    r.Charging(),
-		InputUp:     r.InputUp(),
-		Setpoint:    r.Pack().Setpoint(),
-		ChargeStart: r.ChargeStart(),
-	}
+	var s Snapshot
+	s.take(r, now)
+	return s
 }
 
-// Sample reads the rack's telemetry at virtual time now. It reports false
+// take fills s, in place, with a timestamped telemetry snapshot of r.
+func (s *Snapshot) take(r *rack.Rack, now time.Duration) {
+	s.Taken = now
+	s.Name = r.Name()
+	s.Priority = r.Priority()
+	s.Demand = r.Demand()
+	s.ITLoad = r.ITLoad()
+	s.Recharge = r.RechargePower()
+	s.DOD = r.LastDOD()
+	s.PendingDOD = r.PendingDOD()
+	s.Charging = r.Charging()
+	s.InputUp = r.InputUp()
+	s.Setpoint = r.Pack().Setpoint()
+	s.ChargeStart = r.ChargeStart()
+}
+
+// read reads the rack's telemetry at virtual time now. It reports false
 // when the read fails (lost reply or crashed agent); an injected stale read
 // returns the previous snapshot with its original timestamp, which the
-// controller detects by comparing Taken against its staleness bound.
-func (a *Agent) Sample(now time.Duration) (Snapshot, bool) {
+// controller detects by comparing Taken against its staleness bound. The
+// snapshot it returns is the agent's cache, valid until the agent's next
+// read. With an injector attached, the crash schedule and the DropRead and
+// StaleRead draws come first, in that order, on every call; a fresh read
+// then goes through the same cache as a fault-free one.
+func (a *Agent) read(now time.Duration) (*Snapshot, bool) {
 	if a.inj != nil {
 		if !a.sched.Up(now) || a.inj.DropRead() {
-			return Snapshot{}, false
+			return nil, false
 		}
 		if a.haveLast && a.inj.StaleRead() {
-			return a.last, true
+			return &a.last, true
 		}
-		s := snapshotRack(a.rack, now)
-		a.last, a.haveLast = s, true
-		return s, true
 	}
 	a.refresh(now)
-	return a.last, true
+	return &a.last, true
 }
 
 // refresh rebuilds the agent's cached snapshot unless it already reflects the
 // rack's state at this exact (time, version) pair. The cache is shared by
 // every controller sampling through this agent, so a rack snapshotted by the
 // RPP controller is a copy — not a rebuild — for the SB and MSB controllers
-// on the same tick. Fault-free path only: with an injector attached, Sample
-// keeps the historical per-call read semantics (and RNG draw order).
+// on the same tick, and for a second read within the tick.
 func (a *Agent) refresh(now time.Duration) {
 	v := a.rack.Version()
 	if a.haveLast && a.lastVer == v && a.last.Taken == now {
 		return
 	}
-	a.last = snapshotRack(a.rack, now)
+	a.last.take(a.rack, now)
 	a.lastVer, a.haveLast = v, true
 }
 
@@ -687,8 +692,8 @@ func (c *Controller) sample(now time.Duration) {
 			continue
 		}
 		anyInj = true
-		if s, ok := a.Sample(now); ok {
-			c.tel[i] = s
+		if s, ok := a.read(now); ok {
+			c.tel[i] = *s
 			if !c.telOK[i] {
 				c.telOK[i] = true
 				c.telOKCount++

@@ -519,3 +519,56 @@ func TestWatchdogHeldOffByDelayedHeartbeats(t *testing.T) {
 		t.Errorf("setpoint = %v, want the planned 3 A intact", got)
 	}
 }
+
+// A fresh faulted read goes through the agent's (time, version) cache, so
+// controllers that read one faulted agent in one tick share one build: each
+// must still see exactly what a fresh snapshot of the rack gives, including
+// a change another controller made between their reads. An injected stale
+// read still returns the earlier snapshot with its own Taken.
+func TestFaultedReadsShareTheAgentSnapshot(t *testing.T) {
+	r := rack.New("fs0", rack.P2, charger.Variable{}, battery.Fig5Surface())
+	r.SetDemand(6 * units.Kilowatt)
+	r.LoseInput(0)
+	r.Step(45*time.Second, 45*time.Second)
+	r.RestoreInput(45 * time.Second)
+	// Only command faults: every read is fresh, but the read path still
+	// runs through the injector.
+	a := NewAgent(r, nil, 0)
+	a.SetFaults(faults.New(faults.Config{Seed: 1, CommandDup: 0.5}))
+	node := power.NewNode("rpp", power.LevelRPP, 100*units.Kilowatt)
+	node.AttachLoad(r)
+	c1 := NewController(node, []*Agent{a}, ModePriorityAware, core.DefaultConfig(), false)
+	c2 := NewController(node, []*Agent{a}, ModePriorityAware, core.DefaultConfig(), false)
+
+	now := 48 * time.Second
+	r.Step(now, 3*time.Second)
+	c1.sample(now)
+	c2.sample(now)
+	want := snapshotRack(r, now)
+	if c1.tel[0] != want || c2.tel[0] != want {
+		t.Fatalf("shared read differs from a fresh build:\n  c1   %+v\n  c2   %+v\n  want %+v", c1.tel[0], c2.tel[0], want)
+	}
+	if !a.haveLast || a.lastVer != r.Version() || a.last.Taken != now {
+		t.Fatal("a fresh faulted read left the agent's (time, version) cache unset")
+	}
+	// A change between the two reads of one tick invalidates the cache.
+	r.OverrideCurrent(2 * units.Ampere)
+	c2.sample(now)
+	if want := snapshotRack(r, now); c2.tel[0] != want {
+		t.Fatalf("read after an override kept the old build:\n  got  %+v\n  want %+v", c2.tel[0], want)
+	}
+
+	stale := NewAgent(r, nil, 0)
+	stale.SetFaults(faults.New(faults.Config{Seed: 1, TelemetryStale: 1}))
+	s, ok := stale.read(now)
+	if !ok || s.Taken != now {
+		t.Fatalf("first read = %+v, %t; want a fresh snapshot at %v", s, ok, now)
+	}
+	first := *s
+	later := now + 3*time.Second
+	r.Step(later, 3*time.Second)
+	s, ok = stale.read(later)
+	if !ok || *s != first {
+		t.Fatalf("stale read = %+v, %t; want the earlier snapshot %+v", s, ok, first)
+	}
+}

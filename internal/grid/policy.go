@@ -279,6 +279,84 @@ func (p *Policy) Busy(now time.Duration) bool {
 	return false
 }
 
+// NextEdge returns the first instant strictly after t at which the policy's
+// signals or its own state can change with no rack moving: a breakpoint of
+// the Cap, Price or Carbon series, an event's start or end, the end of a
+// droop, or, while deferring, the MaxDefer valve. It reports false when no
+// edge is left. After a Tick at t, CapAt, EffectiveLimit, DeferCharging and
+// the shave target hold until the edge, so a caller that runs Tick at every
+// edge may skip the ticks in between while Idle holds and the feed draw
+// stays under the effective limit.
+func (p *Policy) NextEdge(t time.Duration) (time.Duration, bool) {
+	if p == nil || p.spec == nil {
+		return 0, false
+	}
+	var next time.Duration
+	ok := false
+	consider := func(e time.Duration) {
+		if e > t && (!ok || e < next) {
+			next, ok = e, true
+		}
+	}
+	for _, s := range []*Series{p.spec.Cap, p.spec.Price, p.spec.Carbon} {
+		if e, has := s.nextAfter(t); has {
+			consider(e)
+		}
+	}
+	for _, e := range p.spec.Events {
+		consider(e.At)
+		consider(e.At + e.Dur)
+	}
+	consider(p.droopUntil)
+	if p.deferring && p.cfg.MaxDefer > 0 {
+		consider(p.deferSince + p.cfg.MaxDefer)
+	}
+	return next, ok
+}
+
+// Idle reports whether no rack is shaving and no shave target is in force
+// at now. Then, until the next edge (see NextEdge), Tick leaves every rack
+// alone and journals nothing as long as the feed draw stays at or under the
+// effective limit and RepairDue is false.
+func (p *Policy) Idle(now time.Duration) bool {
+	if p == nil {
+		return true
+	}
+	if len(p.shaving) > 0 {
+		return false
+	}
+	_, active := p.shaveTarget(now)
+	return !active
+}
+
+// RepairDue reports whether a Tick at now would restore a demoted charge
+// (see repairSLA), reading the racks and the feed as they stand. It changes
+// nothing.
+func (p *Policy) RepairDue(now time.Duration) bool {
+	if p == nil || p.node == nil || !p.node.Energized() {
+		return false
+	}
+	safe := p.ccfg.SafeCurrent()
+	if !slices.ContainsFunc(p.racks, func(r *rack.Rack) bool { return p.repairable(r, safe) }) {
+		return false
+	}
+	budget := p.repairBudget(now)
+	if budget <= 0 {
+		return false
+	}
+	// The first repair in any order spends from the whole budget, so one
+	// affordable repair anywhere is enough.
+	for _, r := range p.racks {
+		if !p.repairable(r, safe) {
+			continue
+		}
+		if _, cost, ok := p.repairCost(r, now); ok && cost <= budget {
+			return true
+		}
+	}
+	return false
+}
+
 // ShavedPower returns the IT load currently carried by shaving batteries —
 // the draw the grid is not seeing, exported as grid.export_w.
 func (p *Policy) ShavedPower() units.Power {
@@ -666,8 +744,7 @@ func (p *Policy) repairSLA(now time.Duration) {
 	if p.node == nil || !p.node.Energized() {
 		return
 	}
-	eff := p.EffectiveLimit(now)
-	budget := eff - p.queue.Config().Margin(eff) - p.node.Power()
+	budget := p.repairBudget(now)
 	if budget <= 0 {
 		return
 	}
@@ -681,14 +758,8 @@ func (p *Policy) repairSLA(now time.Duration) {
 		if !p.repairable(r, safe) {
 			continue
 		}
-		setpoint := r.Pack().Setpoint()
-		remaining := p.ccfg.Deadlines[r.Priority()] - (now - r.ChargeStart())
-		want, _ := p.ccfg.SLACurrentWithin(r.Priority(), r.BatteryDOD(), remaining)
-		if want <= setpoint {
-			continue
-		}
-		cost := units.Power(float64(want-setpoint) * p.ccfg.WattsPerAmp)
-		if cost > budget {
+		want, cost, ok := p.repairCost(r, now)
+		if !ok || cost > budget {
 			continue
 		}
 		budget -= cost
@@ -705,6 +776,26 @@ func (p *Policy) repairSLA(now time.Duration) {
 // power, not shaving, whose setpoint sits at or below the safe current.
 func (p *Policy) repairable(r *rack.Rack, safe units.Current) bool {
 	return r.InputUp() && r.Charging() && r.Pack().Setpoint() <= safe && !p.shaveSet[r.Name()]
+}
+
+// repairBudget is the headroom repairSLA may spend at now: the effective
+// limit net of the admission margin, over the feed draw.
+func (p *Policy) repairBudget(now time.Duration) units.Power {
+	eff := p.EffectiveLimit(now)
+	return eff - p.queue.Config().Margin(eff) - p.node.Power()
+}
+
+// repairCost returns the current a repairable charge on r needs at now to
+// meet its remaining deadline and what raising it costs, or ok false when
+// its setpoint already suffices.
+func (p *Policy) repairCost(r *rack.Rack, now time.Duration) (want units.Current, cost units.Power, ok bool) {
+	setpoint := r.Pack().Setpoint()
+	remaining := p.ccfg.Deadlines[r.Priority()] - (now - r.ChargeStart())
+	want, _ = p.ccfg.SLACurrentWithin(r.Priority(), r.BatteryDOD(), remaining)
+	if want <= setpoint {
+		return 0, 0, false
+	}
+	return want, units.Power(float64(want-setpoint) * p.ccfg.WattsPerAmp), true
 }
 
 // Account closes the tick: it measures the draw the feed actually presented

@@ -1,6 +1,7 @@
 package grid
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func idleRack(name string, p rack.Priority, demand units.Power) *rack.Rack {
 }
 
 // drainedChargingRack builds a rack mid-recharge after a short discharge.
-func drainedChargingRack(t *testing.T, name string, p rack.Priority, demand units.Power) *rack.Rack {
+func drainedChargingRack(t testing.TB, name string, p rack.Priority, demand units.Power) *rack.Rack {
 	t.Helper()
 	r := idleRack(name, p, demand)
 	r.LoseInput(0)
@@ -38,7 +39,7 @@ func drainedChargingRack(t *testing.T, name string, p rack.Priority, demand unit
 }
 
 // rig binds a policy over the racks under one MSB node with a storm queue.
-func rig(t *testing.T, spec *Spec, limit units.Power, racks ...*rack.Rack) (*Policy, *power.Node, *storm.Queue) {
+func rig(t testing.TB, spec *Spec, limit units.Power, racks ...*rack.Rack) (*Policy, *power.Node, *storm.Queue) {
 	t.Helper()
 	n := power.NewNode("msb", power.LevelMSB, limit)
 	for _, r := range racks {
@@ -412,5 +413,85 @@ func TestRepairSLASkipsSortAndKeepsOrder(t *testing.T) {
 	// Repaired charges are above the safe current again.
 	if allocs := testing.AllocsPerRun(50, func() { p.Tick(now) }); allocs != 0 {
 		t.Errorf("a tick after the repairs allocates %v times, want 0", allocs)
+	}
+}
+
+// NextEdge walks every instant the policy's signals or state can change
+// without a rack moving, in order: series breakpoints, event starts and
+// ends, and, once a deferral starts, its MaxDefer valve.
+func TestNextEdgeWalksSignalEdges(t *testing.T) {
+	spec := &Spec{
+		Cap:    StepSeries(time.Duration(0), 300*units.Kilowatt, 2*time.Hour, 80*units.Kilowatt),
+		Price:  StepSeries(time.Duration(0), 40.0, time.Hour, 120.0, 3*time.Hour, 40.0),
+		Carbon: StepSeries(10*time.Minute, 450.0),
+		Events: []Event{
+			{Kind: FreqDroop, At: 20 * time.Minute, Dur: 40 * time.Second},
+			{Kind: CapShrink, At: 90 * time.Minute, Dur: time.Hour, Frac: 0.3},
+		},
+		Policy: PolicyConfig{DeferPrice: 100, MaxDefer: 25 * time.Minute},
+	}
+	p, _, _ := rig(t, spec, 100*units.Kilowatt)
+	walk := func(from, until time.Duration) []time.Duration {
+		var got []time.Duration
+		for at := from; ; {
+			e, ok := p.NextEdge(at)
+			if !ok || e > until {
+				return got
+			}
+			got = append(got, e)
+			at = e
+		}
+	}
+	want := []time.Duration{
+		10 * time.Minute, 20 * time.Minute, 20*time.Minute + 40*time.Second,
+		time.Hour, 90 * time.Minute, 2 * time.Hour, 150 * time.Minute, 3 * time.Hour,
+	}
+	if got := walk(0, 4*time.Hour); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("edges before any deferral = %v, want %v", got, want)
+	}
+	if _, ok := p.NextEdge(3 * time.Hour); ok {
+		t.Error("an edge after the last breakpoint and event end")
+	}
+	// Deferring from 1h: the valve at 1h25m joins the walk.
+	p.Tick(time.Hour)
+	if !p.DeferCharging(time.Hour) {
+		t.Fatal("setup: not deferring above the price threshold")
+	}
+	if e, _ := p.NextEdge(time.Hour); e != time.Hour+25*time.Minute {
+		t.Errorf("next edge while deferring = %v, want the MaxDefer valve at 1h25m", e)
+	}
+}
+
+// RepairDue is repairSLA's decision without the action: false with nothing
+// demoted, false while the feed leaves no budget, true exactly when a Tick
+// would repair.
+func TestRepairDueMatchesRepairSLA(t *testing.T) {
+	racks := []*rack.Rack{
+		drainedChargingRack(t, "a1", rack.P1, 9000*units.Watt),
+		drainedChargingRack(t, "b2", rack.P2, 9000*units.Watt),
+	}
+	p, node, _ := rig(t, &Spec{}, 1000*units.Kilowatt, racks...)
+	now := 3 * time.Minute
+	if p.RepairDue(now) {
+		t.Fatal("repair due with every charge above the safe current")
+	}
+	for _, r := range racks {
+		r.OverrideCurrent(core.DefaultConfig().SafeCurrent())
+	}
+	node.SetLimit(node.Power()) // no headroom: nothing may be repaired
+	if p.RepairDue(now) {
+		t.Fatal("repair due with no budget under the limit")
+	}
+	p.Tick(now)
+	if n := p.Metrics().SLARepairs; n != 0 {
+		t.Fatalf("Tick repaired %d charges with no budget", n)
+	}
+	node.SetLimit(1000 * units.Kilowatt)
+	if !p.RepairDue(now) {
+		t.Fatal("no repair due with budget and demoted charges")
+	}
+	p.Tick(now)
+	if p.Metrics().SLARepairs == 0 {
+		t.Fatal("RepairDue said a repair was due, but Tick made none")
 	}
 }

@@ -78,6 +78,19 @@ func (s *Series) At(t time.Duration) float64 {
 	return s.pts[i-1].V
 }
 
+// nextAfter returns the first breakpoint strictly after t, the offset at
+// which At next changes value, or false when At holds from t on.
+func (s *Series) nextAfter(t time.Duration) (time.Duration, bool) {
+	if s == nil {
+		return 0, false
+	}
+	i := sort.Search(len(s.pts), func(i int) bool { return s.pts[i].T > t })
+	if i == len(s.pts) {
+		return 0, false
+	}
+	return s.pts[i].T, true
+}
+
 // Len returns the number of steps in the series.
 func (s *Series) Len() int {
 	if s == nil {

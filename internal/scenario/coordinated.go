@@ -321,7 +321,7 @@ type CoordResult struct {
 	// ran.
 	KernelTicksExecuted, KernelTicksSkipped uint64
 	// KernelFallback names the spec feature that sent an event-kernel run to
-	// the dense loop (e.g. "fault injection", "grid plane"). It is empty when
+	// the dense loop (e.g. "fault injection", "watchdog"). It is empty when
 	// the event kernel ran and when the spec asked for KernelDense. Summary
 	// leaves it out: the kernel never changes a result.
 	KernelFallback string
@@ -749,8 +749,10 @@ func (cr *coordRun) tick(now time.Duration) (done bool) {
 				"avg_dod", fmt.Sprintf("%.3f", float64(res.AvgDOD)))
 		}
 	}
-	for _, r := range cr.racks {
-		r.Step(now, spec.Step)
+	if !cr.kern.metered(now) {
+		for _, r := range cr.racks {
+			r.Step(now, spec.Step)
+		}
 	}
 	if cr.engine != nil {
 		cr.engine.Run(now)

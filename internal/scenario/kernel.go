@@ -12,31 +12,43 @@ package scenario
 // A tick executes densely (the verbatim coordRun.tick) when any of:
 //
 //   - a scheduled wake is due: the run start, the outage and restore edges,
-//     the LastChargeDone latch tick, the done tick and the last tick of the
-//     window all come from the internal sim.Engine wake queue;
+//     the grid policy's next edge (grid.Policy.NextEdge), the LastChargeDone
+//     latch tick, the done tick and the last tick of the window all come
+//     from the internal sim.Engine wake queue;
 //   - the control plane is not quiescent: a controller mutated state last
 //     tick, holds unconfirmed overrides, or is down; a guard is mid-action;
-//     a breaker is tripped or overdrawn; a rack is capped;
+//     a breaker is tripped or overdrawn; a rack is capped; the grid policy
+//     is not idle (a rack shaving, a shave target in force);
 //   - the outage is in progress (racks must step to discharge);
 //   - an analytic bound says the control plane *could* act: the fleet draw
-//     could approach the MSB limit (headroom bound), or measured headroom
-//     could fund a storm-queue admission or a postponed-charge restart.
+//     could approach the effective feed limit (headroom bound), or measured
+//     headroom could fund a storm-queue admission or a postponed-charge
+//     restart;
+//   - on a grid tick, once the fleet is metered (below), the grid policy
+//     would repair a demoted charge's SLA current: the tick is promoted to
+//     a dense one whose racks have already stepped.
 //
-// Every other tick is skipped: demand is never synthesized or pushed to the
-// racks, packs are not stepped, controllers and guards do not run. The
-// bounds hold a Lipschitz demand envelope (trace.AggregateRate) anchored at
-// the last exactly-evaluated tick, so a skipped tick costs O(1) — no trace
+// Every other tick is skipped: controllers, guards and the grid policy's
+// Tick do not run. Without a grid plane demand is never synthesized or
+// pushed to the racks and packs are not stepped: the bounds hold a
+// Lipschitz demand envelope (trace.AggregateRate) anchored at the last
+// exactly-evaluated tick, so a skipped tick costs O(1) — no trace
 // sinusoids; the envelope re-anchors exactly (one frame, two sins per rack)
-// only when a loose bound cannot prove the skip. Output samples on skipped
-// ticks are synthesized from an exact single-frame aggregate and the
-// materialized recharge state, reproducing the dense accumulation order
-// bit for bit. See DESIGN.md §15 for the wakeup taxonomy and the proof
-// obligations behind each bound.
+// only when a loose bound cannot prove the skip. With a grid plane a skipped
+// tick also meters the feed: the policy integrates energy, cost and carbon
+// as float sums in tick order, so the packs step through the tick, its
+// demand frame is pushed, and grid.Policy.Account reads the same breaker
+// tree draw the dense tick would. Output samples on skipped ticks are
+// synthesized from an exact single-frame aggregate and the materialized
+// recharge state, reproducing the dense accumulation order bit for bit. See
+// DESIGN.md §15 for the wakeup taxonomy and the proof obligations behind
+// each bound.
 
 import (
 	"time"
 
 	"coordcharge/internal/dynamo"
+	"coordcharge/internal/grid"
 	"coordcharge/internal/obs"
 	"coordcharge/internal/rack"
 	"coordcharge/internal/sim"
@@ -60,20 +72,20 @@ const (
 // kernelFallback returns the first feature of the spec that makes the event
 // kernel's quiescence and wake bounds unsound, or "" when the kernel may
 // run. Each feature injects per-tick state changes the bounds cannot see:
-// faults flip controllers and telemetry at arbitrary ticks; the grid plane
-// varies the effective limit and defers admission on price signals; the
-// distributed plane and command latency queue work in the run's own engine;
-// watchdogs and heartbeats age per tick; StaleAfter makes telemetry
-// freshness a function of wall-clock distance; StepHook observes every tick
-// by contract; un-relaxed lower levels would need a headroom bound per
-// breaker, not just at the MSB; and the demand envelope needs the synthetic
-// generator's analytic rate bound, which an external trace does not have.
+// faults flip controllers and telemetry at arbitrary ticks, and every
+// faulted read draws from the shared fault stream; the distributed plane
+// and command latency queue work in the run's own engine; watchdogs and
+// heartbeats age per tick; StaleAfter makes telemetry freshness a function
+// of wall-clock distance; StepHook observes every tick by contract;
+// un-relaxed lower levels would need a headroom bound per breaker, not just
+// at the MSB; and the demand envelope needs the synthetic generator's
+// analytic rate bound, which an external trace does not have. The grid
+// plane is not among them: its signals change only at edges the policy
+// knows in advance, which become wakes.
 func kernelFallback(spec *CoordSpec, src trace.Source) string {
 	switch {
 	case spec.Faults.Enabled():
 		return "fault injection"
-	case spec.Grid != nil:
-		return "grid plane"
 	case spec.Distributed:
 		return "distributed plane"
 	case spec.CommandLatency != 0:
@@ -140,6 +152,10 @@ type eventKernel struct {
 	matAt     time.Duration
 	maxWindow time.Duration
 
+	// pushedAt is the tick whose demand frame push last put into the racks:
+	// a skipped tick, or a grid tick skip metered and then promoted.
+	pushedAt time.Duration
+
 	quiet       bool // control plane proven inert since the last executed tick
 	force       bool // a wake fired: this tick must execute densely
 	prevSkipped bool // a tick was skipped since the last executed one
@@ -160,6 +176,15 @@ type eventKernel struct {
 	guards      []*storm.Guard
 	stormQ      *storm.Queue
 
+	// grid is the run's grid policy, nil without a grid plane. gridWake is
+	// the wake at gridWakeAt, the tick of its next edge; busyUntil is the
+	// end of its last event, before which the policy holds the run open
+	// (Busy).
+	grid       *grid.Policy
+	gridWake   *sim.Event
+	gridWakeAt time.Duration
+	busyUntil  time.Duration
+
 	ticksExecuted, ticksSkipped uint64
 
 	gEvents, gSkipped *obs.Gauge
@@ -176,14 +201,21 @@ func newEventKernel(cr *coordRun, gen *trace.Generator) *eventKernel {
 		wakes:       sim.NewEngine(),
 		matAt:       cr.start - cr.spec.Step,
 		maxWindow:   time.Minute,
+		pushedAt:    time.Duration(-1 << 62),
 		doneT:       -1,
 		controllers: cr.hier.Controllers(),
 		guards:      cr.hier.Guards(),
 		stormQ:      cr.hier.StormQueue(),
+		grid:        cr.gridPol,
 		minGrantW:   units.Power(float64(cr.cfg.Surface.MinCurrent()) * cr.cfg.WattsPerAmp),
 	}
 	if k.maxWindow < cr.spec.Step {
 		k.maxWindow = cr.spec.Step
+	}
+	if k.grid != nil {
+		for _, e := range k.grid.Spec().Events {
+			k.busyUntil = max(k.busyUntil, e.At+e.Dur)
+		}
 	}
 	if cr.spec.Obs != nil {
 		k.gEvents = cr.spec.Obs.Gauge("sim.events_executed")
@@ -285,10 +317,30 @@ func (k *eventKernel) skip(now time.Duration) bool {
 		k.frame(now) // single-frame block; cr.tick reads it verbatim
 		return false
 	}
+	if k.grid != nil {
+		// A skipped grid tick is metered (see skipped), so bring the fleet
+		// to the dense tick's measuring point first. A demoted charge's SLA
+		// repair depends on that exact draw and on the charge's own
+		// progress, so the policy reads it there: a repair due promotes the
+		// tick to a dense one whose racks have already stepped.
+		k.materialize(now)
+		k.push(now)
+		if k.grid.RepairDue(now) {
+			k.current(now - step)
+			return false
+		}
+	}
 	k.ticksSkipped++
 	k.prevSkipped = true
 	k.skipped(now)
 	return true
+}
+
+// metered reports whether the kernel already stepped the packs through the
+// tick at now and pushed its demand, which it does only for a grid tick it
+// then promoted to a dense one (see skip).
+func (k *eventKernel) metered(now time.Duration) bool {
+	return k != nil && k.pushedAt == now
 }
 
 // current brings the run up to the tick at `at` as the dense loop would
@@ -309,20 +361,29 @@ func (k *eventKernel) current(at time.Duration) {
 	}
 }
 
-// skipped is the O(1) body of a skipped tick: synthesize the output sample
-// on sample ticks and keep the post-restore peak tracker exact, both against
-// materialized state. Everything else is proven unchanged by quiescence plus
-// the bounds.
+// skipped is the body of a skipped tick: meter the grid feed, synthesize
+// the output sample on sample ticks and keep the post-restore peak tracker
+// exact, all against materialized state. Everything else is proven
+// unchanged by quiescence plus the bounds. Without a grid plane it is O(1)
+// off sample and peak ticks.
 func (k *eventKernel) skipped(now time.Duration) {
 	cr := k.cr
 	spec, res := &cr.spec, cr.res
+	if k.grid != nil {
+		// The grid integrals are float sums in tick order, so no bound can
+		// stand in for a tick's share: meter it exactly. skip brought the
+		// fleet to the tick's measuring point, and nothing else acts on a
+		// quiescent tick, so this draw is the one the dense tick's Account
+		// reads.
+		k.grid.Account(now, spec.Step)
+	}
 	if now-cr.lastSample >= spec.SampleEvery {
 		k.materialize(now)
 		// Reproduce the dense accumulation bit for bit: IT is the clamped
 		// frame sum in rack index order (FrameAggregates' contract), the
 		// recharge term the same per-rack fold over live pack state. Capped
 		// is identically zero on a skippable tick (a capped rack blocks
-		// quiescence), as are Shaved/GridCap (no grid plane when eligible).
+		// quiescence), and so is Shaved (a shaving rack does too).
 		it := k.refreshAgg(now)
 		var rech units.Power
 		for _, r := range cr.racks {
@@ -331,9 +392,11 @@ func (k *eventKernel) skipped(now time.Duration) {
 			}
 		}
 		cr.lastSample = now
-		res.Samples = append(res.Samples, Sample{
-			T: now - cr.loseAt, Total: it + rech, IT: it, Recharge: rech,
-		})
+		s := Sample{T: now - cr.loseAt, Total: it + rech, IT: it, Recharge: rech}
+		if k.grid != nil {
+			s.GridCap = k.grid.CapAt(now)
+		}
+		res.Samples = append(res.Samples, s)
 	}
 	if now > cr.restoreAt {
 		drift := k.aggDrift(now)
@@ -346,10 +409,7 @@ func (k *eventKernel) skipped(now time.Duration) {
 				// dense measurement (demand pushed, packs current, breaker
 				// tree sum) without executing a control-plane tick.
 				k.materialize(now)
-				frame := k.frame(now)
-				for i, r := range cr.racks {
-					r.SetDemand(frame[i])
-				}
+				k.push(now)
 				if p := cr.msb.Power(); p > res.PeakPower {
 					res.PeakPower = p
 				}
@@ -358,45 +418,68 @@ func (k *eventKernel) skipped(now time.Duration) {
 	}
 }
 
+// push brings the racks to the dense tick's measuring point at now, the
+// charging packs being already stepped through it: the tick's demand frame
+// is pushed once, so the breaker tree sums what the dense tick's would.
+func (k *eventKernel) push(now time.Duration) {
+	if k.pushedAt == now {
+		return
+	}
+	k.pushedAt = now
+	frame := k.frame(now)
+	for i, r := range k.cr.racks {
+		r.SetDemand(frame[i])
+	}
+}
+
 // boundsTrip reports whether the control plane could act at tick now.
 // Soundness directions: the fleet draw at the tick is at most demand+rUB
-// (headroom, guard, and trip checks compare draw *upward* against limits)
-// and at least demand+rLB (admission and restart budgets are limit *minus*
-// draw, so a draw floor caps the budget). Demand enters through the
+// (headroom, guard, cap and trip checks compare draw *upward* against
+// limits) and at least demand+rLB (admission and restart budgets are limit
+// *minus* draw, so a draw floor caps the budget). Demand enters through the
 // envelope: first the O(1) drift-widened bounds; only if those cannot prove
 // the skip, the exact aggregate (two sins per rack — ~100x cheaper than a
 // dense tick), so the final decision matches what the dense plane would
 // measure.
 func (k *eventKernel) boundsTrip(now time.Duration) bool {
 	cr := k.cr
-	limit := cr.msb.Limit()
+	limit, eff := cr.msb.Limit(), cr.msb.Limit()
+	admit := k.stormQ != nil && k.stormQ.Len() > 0
+	if k.grid != nil {
+		// Both hold from the last executed tick to the next grid edge.
+		eff = k.grid.EffectiveLimit(now)
+		admit = admit && !k.grid.DeferCharging(now)
+	}
 	drift := k.aggDrift(now)
-	if !k.boundsTripAt(limit, k.aggAt-drift, k.aggAt+drift) {
+	if !k.boundsTripAt(limit, eff, admit, k.aggAt-drift, k.aggAt+drift) {
 		return false
 	}
 	if drift == 0 {
 		return true
 	}
 	d := k.refreshAgg(now)
-	return k.boundsTripAt(limit, d, d)
+	return k.boundsTripAt(limit, eff, admit, d, d)
 }
 
-func (k *eventKernel) boundsTripAt(limit, dLo, dHi units.Power) bool {
-	// Headroom: protect/guard/Observe act only when draw approaches the MSB
-	// limit (lower levels are relaxed to 100 MW, or kernelFallback would
-	// have refused the spec).
-	if dHi+k.rUB > limit-tickSlackW {
+// boundsTripAt checks the bounds against the breaker limit and the
+// effective feed limit eff (the breaker limit, or the interconnection cap
+// under it); admit says whether the storm queue could run a wave.
+func (k *eventKernel) boundsTripAt(limit, eff units.Power, admit bool, dLo, dHi units.Power) bool {
+	// Headroom: protect/guard/Observe, the grid policy's cap enforcement and
+	// its violation score act only when draw approaches the effective limit
+	// (lower levels are relaxed to 100 MW, or kernelFallback would have
+	// refused the spec).
+	if dHi+k.rUB > eff-tickSlackW {
 		return true
 	}
 	// Storm admission: a waiting queue is only granted power when measured
-	// budget (limit - draw - margin) can fund the minimum grant.
-	if k.stormQ != nil && k.stormQ.Len() > 0 {
-		if limit-k.stormQ.Config().Margin(limit)-dLo-k.rLB >= k.minGrantW-tickSlackW {
-			return true
-		}
+	// budget (effective limit - draw - margin) can fund the minimum grant.
+	if admit && eff-k.stormQ.Config().Margin(eff)-dLo-k.rLB >= k.minGrantW-tickSlackW {
+		return true
 	}
-	// Postponed restarts: restartPostponed stops at headroom < the minimum
-	// grant; until headroom can reach it, the waiting set cannot move.
+	// Postponed restarts: restartPostponed stops at breaker headroom < the
+	// minimum grant; until headroom can reach it, the waiting set cannot
+	// move.
 	if k.postponedN > 0 {
 		if limit-dLo-k.rLB >= k.minGrantW-tickSlackW {
 			return true
@@ -483,9 +566,20 @@ func (k *eventKernel) executed(now time.Duration) {
 	// here costs one clamped sum — no sinusoids — and keeps drift small.
 	k.refreshAgg(now)
 	k.refreshRechargeBounds()
-	k.recomputeQuiet()
-	if cr.restoreFired && cr.numOutstanding == 0 {
-		k.noteDrained()
+	k.recomputeQuiet(now)
+	if k.grid != nil {
+		k.wakeAtGridEdge(now)
+	}
+	if cr.restoreFired {
+		// A charge that starts after the drain (a shave's recharge), or a
+		// done tick the grid policy held open, voids the termination
+		// schedule: the next drain derives it afresh.
+		if cr.numOutstanding > 0 || (k.doneT >= 0 && k.doneT <= now) {
+			k.doneT = -1
+		}
+		if cr.numOutstanding == 0 {
+			k.noteDrained()
+		}
 	}
 	if k.gEvents != nil {
 		k.gEvents.Set(float64(k.wakes.Executed()))
@@ -493,13 +587,30 @@ func (k *eventKernel) executed(now time.Duration) {
 	}
 }
 
-// recomputeQuiet re-derives the quiescence flag from control-plane state.
-// Quiet means a dense tick would be a proven no-op modulo the wake bounds:
-// no controller is down, mutated, or holding unconfirmed overrides; every
-// guard is idle; no breaker is tripped or inside its trip window; no rack is
-// capped. A waiting storm queue or postponed set is compatible with quiet —
-// their re-admission is governed by the headroom bounds, not by density.
-func (k *eventKernel) recomputeQuiet() {
+// wakeAtGridEdge keeps one wake pending at the tick of the grid policy's
+// next edge after the executed tick now, replacing a later one that a fresh
+// edge (a deferral's MaxDefer valve) overtook.
+func (k *eventKernel) wakeAtGridEdge(now time.Duration) {
+	e, ok := k.grid.NextEdge(now)
+	if !ok {
+		return
+	}
+	at := k.ceilTick(e)
+	if k.gridWake != nil && k.gridWakeAt == at {
+		return
+	}
+	k.wakes.Cancel(k.gridWake)
+	k.gridWake, k.gridWakeAt = k.wakes.ScheduleAt(at, "grid", k.onForce), at
+}
+
+// recomputeQuiet re-derives the quiescence flag from control-plane state
+// after the executed tick now. Quiet means a dense tick would be a proven
+// no-op modulo the wake bounds: no controller is down, mutated, or holding
+// unconfirmed overrides; every guard is idle; no breaker is tripped or
+// inside its trip window; no rack is capped; the grid policy is idle. A
+// waiting storm queue or postponed set is compatible with quiet — their
+// re-admission is governed by the headroom bounds, not by density.
+func (k *eventKernel) recomputeQuiet(now time.Duration) {
 	cr := k.cr
 	k.postponedN = 0
 	quiet := true
@@ -533,15 +644,20 @@ func (k *eventKernel) recomputeQuiet() {
 			}
 		}
 	}
+	if quiet && k.grid != nil {
+		quiet = k.grid.Idle(now)
+	}
 	k.quiet = quiet
 }
 
-// noteDrained runs once, when the post-restore fleet first has no
-// outstanding charges, and reconstructs the dense plane's termination
-// schedule: the tick that latches LastChargeDone and the tick whose
-// early-exit check succeeds. Charges cannot restart after the drain (starts
+// noteDrained runs when the post-restore fleet drains — once per drain —
+// and reconstructs the dense plane's termination schedule: the tick that
+// latches LastChargeDone and the tick whose early-exit check succeeds.
+// Without a grid plane charges cannot restart after the drain (starts
 // happen only at the restore edge or from the queues, which are empty when
-// numOutstanding is zero), so neither needs cancelling.
+// numOutstanding is zero). A shave's recharge can, on an executed tick,
+// which voids the schedule (see executed); its wakes then fire as harmless
+// dense ticks.
 func (k *eventKernel) noteDrained() {
 	cr := k.cr
 	if k.doneT >= 0 {
@@ -568,10 +684,12 @@ func (k *eventKernel) noteDrained() {
 			k.wakes.ScheduleAt(lt, "latch", k.onForce)
 		}
 	}
-	k.doneT = k.ceilTick(cr.restoreAt + 5*time.Minute)
-	if d := k.ceilTick(lt + 2*time.Minute); d > k.doneT {
-		k.doneT = d
-	}
+	// The early exit also waits for the grid policy to stop being Busy: by
+	// the end of its last event every event has fired and every window and
+	// droop has closed, and a shaving rack keeps every tick dense. A done
+	// tick the policy held open re-derives the schedule from the next one.
+	k.doneT = max(k.ceilTick(cr.restoreAt+5*time.Minute), k.ceilTick(lt+2*time.Minute),
+		k.ceilTick(k.busyUntil), k.matAt+cr.spec.Step)
 	k.wakes.ScheduleAt(k.doneT, "done", k.onForce)
 }
 

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"fmt"
 	"path/filepath"
 	"testing"
 	"time"
@@ -150,40 +151,66 @@ func TestEndurancePostponedWaitCountsAsLoss(t *testing.T) {
 // TestKernelInterruptResume: a graceful interrupt on the event kernel, taken
 // mid-skip, writes its checkpoint from the shared run loop after bringing
 // the fleet and the controller clocks current. Resuming on the event kernel
-// must reproduce the uninterrupted run's summary and flight digest.
+// must reproduce the uninterrupted run's summary, flight digest and grid
+// metrics. On the grid-shrink arm every skipped tick meters the feed, so a
+// resume that lost or repeated one would move the grid integrals.
 func TestKernelInterruptResume(t *testing.T) {
-	spec := CoordSpec{
-		NumP1: 10, NumP2: 10, NumP3: 10, Seed: 1,
-		MSBLimit: 205 * units.Kilowatt, Mode: dynamo.ModePriorityAware,
-		OutageLen: 90 * time.Second, MaxChargeDuration: 6 * time.Hour,
-		Kernel: KernelEvent,
+	shrink, err := GridStormSpec(1, 0.35)
+	if err != nil {
+		t.Fatal(err)
 	}
-	run := func(s CoordSpec) (*CoordResult, string) {
-		s.Obs = obs.NewSink(0)
-		res, err := RunCoordinated(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res, s.Obs.Flight.Digest()
-	}
-	want, wantDigest := run(spec)
-	for _, polls := range []int{50, 700, 2000} {
-		first := spec
-		first.Checkpoint = filepath.Join(t.TempDir(), "run.ckpt")
-		n := 0
-		first.Interrupt = func() bool { n++; return n > polls }
-		if res, _ := run(first); !res.Interrupted {
-			t.Fatalf("interrupt after %d polls: run was not interrupted", polls)
-		}
-		second := spec
-		second.Resume = first.Checkpoint
-		got, gotDigest := run(second)
-		if gotDigest != wantDigest {
-			t.Errorf("interrupt after %d polls: flight digest %s, uninterrupted %s", polls, gotDigest, wantDigest)
-		}
-		if got.Summary() != want.Summary() {
-			t.Errorf("interrupt after %d polls: summary diverged:\n--- resumed ---\n%s--- uninterrupted ---\n%s", polls, got.Summary(), want.Summary())
-		}
+	for _, tc := range []struct {
+		name  string
+		spec  CoordSpec
+		polls []int
+	}{
+		{"storm", CoordSpec{
+			NumP1: 10, NumP2: 10, NumP3: 10, Seed: 1,
+			MSBLimit: 205 * units.Kilowatt, Mode: dynamo.ModePriorityAware,
+			OutageLen: 90 * time.Second, MaxChargeDuration: 6 * time.Hour,
+		}, []int{50, 700, 2000}},
+		// Under the shrunk cap, before the shrink, and after the cap
+		// restores: all three cuts fall inside skipped spans.
+		{"grid-shrink", shrink, []int{100, 1200, 2500}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec := tc.spec
+			spec.Kernel = KernelEvent
+			run := func(s CoordSpec) (*CoordResult, string) {
+				s.Obs = obs.NewSink(0)
+				res, err := RunCoordinated(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, s.Obs.Flight.Digest()
+			}
+			want, wantDigest := run(spec)
+			for _, polls := range tc.polls {
+				first := spec
+				first.Checkpoint = filepath.Join(t.TempDir(), "run.ckpt")
+				n := 0
+				first.Interrupt = func() bool { n++; return n > polls }
+				res, _ := run(first)
+				if !res.Interrupted {
+					t.Fatalf("interrupt after %d polls: run was not interrupted", polls)
+				}
+				if res.KernelTicksSkipped == 0 {
+					t.Fatalf("interrupt after %d polls: no tick was skipped before it", polls)
+				}
+				second := spec
+				second.Resume = first.Checkpoint
+				got, gotDigest := run(second)
+				if gotDigest != wantDigest {
+					t.Errorf("interrupt after %d polls: flight digest %s, uninterrupted %s", polls, gotDigest, wantDigest)
+				}
+				if got.Summary() != want.Summary() {
+					t.Errorf("interrupt after %d polls: summary diverged:\n--- resumed ---\n%s--- uninterrupted ---\n%s", polls, got.Summary(), want.Summary())
+				}
+				if g, w := fmt.Sprintf("%+v", got.Grid), fmt.Sprintf("%+v", want.Grid); g != w {
+					t.Errorf("interrupt after %d polls: grid metrics diverged:\n  resumed       %s\n  uninterrupted %s", polls, g, w)
+				}
+			}
+		})
 	}
 }
 
@@ -214,7 +241,7 @@ func TestKernelFallbackNamesFeature(t *testing.T) {
 		{"requested dense", func(s *CoordSpec) { s.Kernel = KernelDense }, ""},
 		{"faults", func(s *CoordSpec) { s.Faults = faults.Default() }, "fault injection"},
 		{"faults before grid", func(s *CoordSpec) { s.Faults = faults.Default(); s.Grid = gridSpec }, "fault injection"},
-		{"grid", func(s *CoordSpec) { s.Grid = gridSpec }, "grid plane"},
+		{"grid", func(s *CoordSpec) { s.Grid = gridSpec }, ""},
 		{"distributed", func(s *CoordSpec) { s.Distributed = true }, "distributed plane"},
 		{"latency", func(s *CoordSpec) { s.CommandLatency = 20 * time.Second }, "command latency"},
 		{"watchdog", func(s *CoordSpec) { s.WatchdogTTL = 30 * time.Second }, "watchdog"},

@@ -10,6 +10,7 @@ import (
 	"coordcharge/internal/charger"
 	"coordcharge/internal/dynamo"
 	"coordcharge/internal/faults"
+	"coordcharge/internal/grid"
 	"coordcharge/internal/obs"
 	"coordcharge/internal/power"
 	"coordcharge/internal/rng"
@@ -20,10 +21,12 @@ import (
 
 // Kernel parity: the event-driven kernel's one correctness bar. For every
 // scenario arm and seed, a run on the event kernel (the default) must
-// produce a flight digest and result summary byte-identical to the dense
-// reference — including runs hard-killed and resumed from checkpoints, and
-// checkpoints written by one kernel and resumed by the other. Arms the
-// kernel cannot prove bounds for (faults, the grid plane) run dense, count
+// produce a flight digest, result summary and grid metrics byte-identical
+// to the dense reference — including runs hard-killed and resumed from
+// checkpoints, and checkpoints written by one kernel and resumed by the
+// other. The grid metrics are compared on their own because Summary leaves
+// them out, and the grid-shrink and grid-shave arms run the kernel and skip
+// ticks. Arms the kernel cannot prove bounds for (faults) run dense, count
 // no kernel ticks, and must name the feature that forced the dense loop in
 // CoordResult.KernelFallback.
 
@@ -104,14 +107,14 @@ func kernelArms() []kernelArm {
 				panic(err)
 			}
 			return spec
-		}, "grid plane"},
+		}, ""},
 		{"grid-shave", func(seed int64) scenario.CoordSpec {
 			spec, err := scenario.GridShaveSpec(seed)
 			if err != nil {
 				panic(err)
 			}
 			return spec
-		}, "grid plane"},
+		}, ""},
 		{"faults", func(seed int64) scenario.CoordSpec {
 			spec := stormSpec(seed)
 			armStorm(&spec)
@@ -156,6 +159,9 @@ func checkKernelParity(t *testing.T, spec scenario.CoordSpec, fallback string) *
 	if got, want := event.Summary(), dense.Summary(); got != want {
 		t.Errorf("summary diverged:\n--- event ---\n%s--- dense ---\n%s", got, want)
 	}
+	if got, want := fmt.Sprintf("%+v", event.Grid), fmt.Sprintf("%+v", dense.Grid); got != want {
+		t.Errorf("grid metrics diverged:\n  event %s\n  dense %s", got, want)
+	}
 	got, want := eventSink.Reg.Snapshot(), denseSink.Reg.Snapshot()
 	delete(got.Gauges, "sim.events_executed")
 	delete(got.Gauges, "sim.ticks_skipped")
@@ -193,6 +199,7 @@ func TestKernelParity(t *testing.T) {
 				t.Run(fmt.Sprintf("seed%d", seed), func(t *testing.T) {
 					t.Parallel()
 					event := checkKernelParity(t, arm.spec(seed), arm.fallback)
+					t.Logf("executed %d, skipped %d", event.KernelTicksExecuted, event.KernelTicksSkipped)
 					if arm.fallback == "" && event.KernelTicksSkipped == 0 {
 						t.Errorf("eligible arm skipped no ticks (executed=%d); the kernel never engaged",
 							event.KernelTicksExecuted)
@@ -207,35 +214,59 @@ func TestKernelParity(t *testing.T) {
 // read — mode, charger, tick, pre-roll, sampling, discharge depth or outage
 // length, storm admission, guards and trip curves — over small fleets, one
 // seeded draw per case, so parity is not only checked on hand-picked arms.
-// Every generated spec is eligible, so every case runs the event kernel. A
-// case may legitimately skip nothing (a rack capped until the horizon keeps
-// every tick dense), so skipping is required of most cases, not each.
+// The grid draws put a grid plane on a quarter as many specs again, with
+// each feature whose edges and quiescence the kernel reads. Every generated
+// spec is eligible, so every case runs the event kernel. A case may
+// legitimately skip nothing (a rack capped until the horizon keeps every
+// tick dense), so skipping is required of most cases, not each.
 func TestKernelParityGenerated(t *testing.T) {
 	n := 400
 	if testing.Short() {
 		n = 40
 	}
 	r := rng.New(20201017)
-	var ran, skipping atomic.Int64
-	t.Run("cases", func(t *testing.T) {
-		for i := 0; i < n; i++ {
-			spec := genKernelSpec(r)
-			t.Run(fmt.Sprintf("case%03d", i), func(t *testing.T) {
-				t.Parallel()
-				ran.Add(1)
-				if checkKernelParity(t, spec, "").KernelTicksSkipped > 0 {
-					skipping.Add(1)
-				}
-			})
-		}
+	// cases runs n draws of gen under name and reports how many ran and
+	// how many of those skipped ticks.
+	cases := func(name string, n int, gen func() scenario.CoordSpec) (ran, skipping *atomic.Int64) {
+		ran, skipping = new(atomic.Int64), new(atomic.Int64)
+		t.Run(name, func(t *testing.T) {
+			for i := 0; i < n; i++ {
+				spec := gen()
+				t.Run(fmt.Sprintf("case%03d", i), func(t *testing.T) {
+					t.Parallel()
+					ran.Add(1)
+					if checkKernelParity(t, spec, "").KernelTicksSkipped > 0 {
+						skipping.Add(1)
+					}
+				})
+			}
+		})
+		return ran, skipping
+	}
+	ran, skipping := cases("cases", n, func() scenario.CoordSpec { return genKernelSpec(r) })
+	// Drawn after the cases above, so their specs stay what they were.
+	gridRan, gridSkipping := cases("grid", n/4, func() scenario.CoordSpec {
+		spec := genKernelSpec(r)
+		spec.Grid = genGridSpec(r, spec)
+		return spec
 	})
 	// In the full draw all but a handful of cases skip; fewer than three in
-	// four means the generator has drifted into specs that never go quiet.
-	// A -run filter that picks out single cases is not judged.
-	got, of := skipping.Load(), ran.Load()
-	t.Logf("%d of %d cases skipped ticks", got, of)
-	if of == int64(n) && got*4 < of*3 {
-		t.Errorf("only %d of %d cases skipped ticks", got, of)
+	// four, overall or among the grid draws, means the generator has drifted
+	// into specs that never go quiet. A -run filter that picks out single
+	// cases is not judged.
+	for _, c := range []struct {
+		what          string
+		ran, skipping *atomic.Int64
+		want          int
+	}{
+		{"cases", ran, skipping, n},
+		{"grid cases", gridRan, gridSkipping, n / 4},
+	} {
+		got, of := c.skipping.Load(), c.ran.Load()
+		t.Logf("%d of %d %s skipped ticks", got, of, c.what)
+		if of == int64(c.want) && got*4 < of*3 {
+			t.Errorf("only %d of %d %s skipped ticks", got, of, c.what)
+		}
 	}
 }
 
@@ -278,6 +309,67 @@ func genKernelSpec(r *rng.Source) scenario.CoordSpec {
 		spec.TripRule = &power.TripRule{Fraction: units.Fraction([]float64{0.05, 0.15}[pick(2)]), Sustain: 30 * time.Second}
 	}
 	return spec
+}
+
+// genGridSpec draws a grid plane for spec from r around its outage at the
+// first trace peak: at least one of a cap series stepping below the breaker
+// and back, a cap-shrink event, a demand-response window with a shave
+// target under the fleet's IT load, price deferral held by the MaxDefer
+// valve (half the time with a price-triggered shave, which can outlast the
+// recharge), and a frequency droop.
+func genGridSpec(r *rng.Source, spec scenario.CoordSpec) *grid.Spec {
+	peak, err := scenario.FirstPeakOf(spec)
+	if err != nil {
+		panic(err)
+	}
+	pick := r.Intn
+	minutes := func(lo, hi int) time.Duration { return time.Duration(lo+pick(hi-lo+1)) * time.Minute }
+	limit := float64(spec.MSBLimit)
+	// About 6.3 kW a rack is IT load, so a shave target under it makes racks
+	// shave.
+	racks := float64(spec.NumP1 + spec.NumP2 + spec.NumP3)
+	shaveTarget := func() units.Power { return units.Power(racks*r.Uniform(5.5, 6.5)) * units.Kilowatt }
+	g := &grid.Spec{}
+	for g.Cap == nil && g.Price == nil && len(g.Events) == 0 {
+		if pick(2) == 0 {
+			g.Cap = grid.StepSeries(time.Duration(0), 1.2*limit,
+				peak+minutes(1, 20), r.Uniform(0.85, 0.98)*limit,
+				peak+minutes(25, 60), 1.2*limit)
+		}
+		if pick(2) == 0 {
+			g.Events = append(g.Events, grid.Event{
+				Kind: grid.CapShrink, At: peak + minutes(2, 30), Dur: minutes(5, 40), Frac: r.Uniform(0.05, 0.3),
+			})
+		}
+		if pick(2) == 0 {
+			g.Events = append(g.Events, grid.Event{
+				Kind: grid.DemandResponse, At: peak + minutes(30, 90), Dur: minutes(3, 10),
+			})
+			g.Policy.ShaveTarget = shaveTarget()
+		}
+		if pick(2) == 0 {
+			g.Price = grid.StepSeries(time.Duration(0), 40.0,
+				peak+minutes(0, 20), 120.0,
+				peak+minutes(30, 80), 40.0)
+			g.Policy.DeferPrice = 80
+			g.Policy.MaxDefer = minutes(5, 20)
+			if pick(2) == 0 {
+				g.Policy.ShavePrice = 100
+				if g.Policy.ShaveTarget == 0 {
+					g.Policy.ShaveTarget = shaveTarget()
+				}
+			}
+		}
+		if pick(2) == 0 {
+			g.Events = append(g.Events, grid.Event{
+				Kind: grid.FreqDroop, At: peak + minutes(5, 60), Dur: time.Duration(20+pick(100)) * time.Second,
+			})
+		}
+	}
+	if err := g.Validate(); err != nil {
+		panic(err)
+	}
+	return g
 }
 
 // TestKernelCrashResume: the chaos harness on the event kernel. A storm run
