@@ -15,40 +15,17 @@ BENCH_FLOOR ?= 10000000
 # tolerance, this cannot drift across baseline refreshes.
 BENCH_MIN_SPEEDUP ?= 5
 
-# The committed coordvet debt ledger: `make lint` fails only on findings not
-# recorded here. Capture/prune it with `make lint-baseline` after paying down
-# or deliberately baselining debt (the ledger should only ever shrink).
-LINT_BASELINE ?= coordvet_baseline.json
-LINT_SARIF ?= coordvet.sarif
-
-.PHONY: build lint lint-fix lint-sarif lint-baseline test test-short test-race bench bench-json bench-compare profile cover fuzz reproduce examples clean
+.PHONY: build lint test test-short test-race bench bench-json bench-compare profile cover fuzz reproduce examples clean
 
 build:
 	$(GO) build ./...
 
-# Formatting + the repo's own domain-aware analyzers (cmd/coordvet),
-# gated against the committed baseline.
+# Formatting + the repo's own domain-aware analyzers (cmd/coordvet), gated
+# at zero findings.
 lint:
 	@unformatted="$$(gofmt -l .)"; if [ -n "$$unformatted" ]; then \
 		echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
-	$(GO) run ./cmd/coordvet -baseline $(LINT_BASELINE) ./...
-
-# Apply every machine-safe suggested fix (TODO-justified //coordvet:detached
-# annotations), then gofmt the result. Grep for TODO(coordvet) afterwards and
-# replace the placeholders with real reasons.
-lint-fix:
-	$(GO) run ./cmd/coordvet -fix ./...
-	gofmt -w .
-
-# SARIF 2.1.0 findings log for CI annotators (not baseline-filtered: the
-# artifact documents the whole surface, the gate is `make lint`).
-lint-sarif:
-	$(GO) run ./cmd/coordvet -format sarif -out $(LINT_SARIF) ./... || true
-
-# Re-capture the ledger to exactly the current findings (prunes retired
-# entries). Review the diff before committing: additions are new debt.
-lint-baseline:
-	$(GO) run ./cmd/coordvet -write-baseline $(LINT_BASELINE) ./...
+	$(GO) run ./cmd/coordvet ./...
 
 test: lint
 	$(GO) vet ./...
@@ -108,6 +85,7 @@ examples:
 	$(GO) run ./examples/reliability
 	$(GO) run ./examples/datacenter
 	$(GO) run ./examples/psufailure
+	$(GO) run ./examples/distributed
 
 clean:
 	rm -rf artifacts

@@ -9,10 +9,10 @@ import (
 	"coordcharge/internal/units"
 )
 
-// The analytic fast paths exist to let an event-driven kernel skip dense
-// ticks without perturbing a single bit of simulation state, so these tests
-// demand float64 bit-equality (==, not tolerance) against the stepped
-// reference at every tick boundary.
+// The analytic fast path (AdvanceTicks) exists to let an event-driven kernel
+// skip dense ticks without perturbing a single bit of simulation state, so
+// its tests demand float64 bit-equality (==, not tolerance) against the
+// stepped reference at every tick boundary.
 
 func TestAdvanceTicksBitExact(t *testing.T) {
 	s := Fig5Surface()
@@ -122,76 +122,5 @@ func TestPowerLowerBoundSound(t *testing.T) {
 		if rp.PowerLowerBound(time.Minute) != 0 {
 			t.Fatalf("%v A / %v DOD: idle pack bound non-zero", tc.i, tc.dod)
 		}
-	}
-}
-
-func TestBBUAdvanceToBitExact(t *testing.T) {
-	p := DefaultParams()
-	for _, tc := range []struct {
-		i       units.Current
-		soc     float64
-		quantum time.Duration
-		d       time.Duration
-	}{
-		{5, 0.0, 3 * time.Second, 30 * time.Minute},
-		{5, 0.3, 3 * time.Second, 2 * time.Hour},
-		{2, 0.5, 5 * time.Second, 3 * time.Hour},
-		{1, 0.9, 3 * time.Second, 4 * time.Hour},
-		{3, 0.2, 3 * time.Second, 10 * time.Second}, // not a whole number of quanta
-		{4, 0.95, 7 * time.Second, 90 * time.Minute},
-	} {
-		ref := New(p)
-		ref.soc = tc.soc
-		ref.state = Discharging
-		ref.StartCharge(tc.i)
-
-		fast := New(p)
-		fast.soc = tc.soc
-		fast.state = Discharging
-		fast.StartCharge(tc.i)
-
-		var refEnergy units.Energy
-		n := int(tc.d / tc.quantum)
-		for k := 0; k < n; k++ {
-			refEnergy += ref.StepCharge(tc.quantum)
-		}
-		if rem := tc.d - time.Duration(n)*tc.quantum; rem > 0 {
-			refEnergy += ref.StepCharge(rem)
-		}
-
-		fastEnergy := fast.AdvanceTo(tc.d, tc.quantum)
-
-		if fast.soc != ref.soc {
-			t.Errorf("%v A from soc %.2f over %v: soc %x != reference %x",
-				tc.i, tc.soc, tc.d, math.Float64bits(fast.soc), math.Float64bits(ref.soc))
-		}
-		if fast.state != ref.state {
-			t.Errorf("%v A from soc %.2f over %v: state %v != reference %v", tc.i, tc.soc, tc.d, fast.state, ref.state)
-		}
-		if float64(fastEnergy) != float64(refEnergy) {
-			t.Errorf("%v A from soc %.2f over %v: energy %x != reference %x",
-				tc.i, tc.soc, tc.d, math.Float64bits(float64(fastEnergy)), math.Float64bits(float64(refEnergy)))
-		}
-	}
-}
-
-func TestBBUAdvanceToIdleAndDegenerate(t *testing.T) {
-	p := DefaultParams()
-	b := New(p)
-	if got := b.AdvanceTo(time.Minute, 3*time.Second); got != 0 {
-		t.Errorf("idle AdvanceTo absorbed %v, want 0", got)
-	}
-	b.soc = 0.5
-	b.state = Discharging
-	b.StartCharge(3)
-	// quantum >= d collapses to a single StepCharge.
-	ref := New(p)
-	ref.soc = 0.5
-	ref.state = Discharging
-	ref.StartCharge(3)
-	want := ref.StepCharge(2 * time.Second)
-	got := b.AdvanceTo(2*time.Second, 3*time.Second)
-	if float64(got) != float64(want) || b.soc != ref.soc {
-		t.Errorf("quantum>d AdvanceTo = %v (soc %v), want %v (soc %v)", got, b.soc, want, ref.soc)
 	}
 }

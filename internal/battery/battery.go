@@ -397,78 +397,6 @@ func (b *BBU) StepCharge(dt time.Duration) units.Energy {
 	return absorbed
 }
 
-// AdvanceTo advances an in-progress charge by d, bit-identically to calling
-// StepCharge(quantum) for each full quantum in d followed by StepCharge with
-// the remainder, and returns the total battery-side energy absorbed (the sum
-// of the per-call returns, accumulated in call order). It is the analytic
-// fast path for time-skipping simulation kernels: quantum-aligned CC and CV
-// steps are executed with their per-step constants hoisted (the CC soc
-// increment and the CV exponential decay factor are the same float64 values
-// StepCharge recomputes every call, because quantum is constant), while the
-// CC→CV crossing step, any completing step, and the trailing remainder are
-// delegated to the real StepCharge — each occurs at most once per charge, so
-// the delegation is O(1). A non-positive quantum advances in one StepCharge
-// call.
-func (b *BBU) AdvanceTo(d, quantum time.Duration) units.Energy {
-	if b.state != Charging || d <= 0 {
-		return 0
-	}
-	if quantum <= 0 || quantum >= d {
-		return b.StepCharge(d)
-	}
-	var absorbed units.Energy
-	qs := quantum.Seconds()
-	q := float64(b.p.Capacity)
-	k := float64(b.p.OCVSpan)
-	r := b.p.InternalR
-	vcv := float64(b.p.VCV)
-	tau := r * q / k
-	cutU := float64(b.p.CutoffI) * r
-	i := float64(b.setpoint)
-	socCV := float64(b.p.SOCAtCV(b.setpoint))
-	dsocCC := i * qs / q                // per-step soc rise of a pure-CC step
-	expCV := math.Exp(-qs / tau)        // per-step decay of a pure-CV step
-	n := int(d / quantum)               // full quantum steps
-	rem := d - time.Duration(n)*quantum // trailing partial step
-	for t := 0; t < n && b.state == Charging; t++ {
-		if b.soc < socCV {
-			if tToCV := (socCV - b.soc) * q / i; tToCV >= qs {
-				// Pure CC step: StepCharge would pick step = quantum, land
-				// short of the CV boundary, and exit its loop with exactly
-				// zero time remaining.
-				vMid := float64(b.p.OCV(units.Fraction(b.soc+dsocCC/2))) + i*r
-				absorbed += units.Energy(vMid * i * qs)
-				b.soc += dsocCC
-				continue
-			}
-			// CC→CV crossing inside this step: delegate.
-			absorbed += b.StepCharge(quantum)
-			continue
-		}
-		u0 := vcv - float64(b.p.OCV(units.Fraction(b.soc)))
-		if u0 <= cutU+1e-12 {
-			// At the cutoff: StepCharge completes immediately.
-			absorbed += b.StepCharge(quantum)
-			continue
-		}
-		if tToDone := tau * math.Log(u0/cutU); qs >= tToDone-1e-12 {
-			// Completing CV step: delegate so the completion clamp and the
-			// partial-step energy match StepCharge exactly.
-			absorbed += b.StepCharge(quantum)
-			continue
-		}
-		// Pure CV step: u decays by the hoisted per-quantum factor.
-		u1 := u0 * expCV
-		dsoc := (u0 - u1) / k
-		absorbed += units.Energy(vcv * q * dsoc)
-		b.soc += dsoc
-	}
-	if rem > 0 && b.state == Charging {
-		absorbed += b.StepCharge(rem)
-	}
-	return absorbed
-}
-
 // ChargeTime returns the closed-form duration to charge from the given depth
 // of discharge to full at CC setpoint i (clamped to hardware bounds):
 // the CC time to reach soc_cv(i) plus the CV tail τ·ln(I_start/Imin).

@@ -114,11 +114,6 @@ type AsyncOptions struct {
 	// Heartbeat emits a per-generation keepalive to every agent, feeding
 	// the racks' fail-safe watchdogs.
 	Heartbeat bool
-	// EvalFraction is the fraction of the poll period after which an
-	// incomplete poll generation evaluates anyway from the telemetry that
-	// did arrive (default 0.8). Lost replies then degrade decisions instead
-	// of stalling the controller forever.
-	EvalFraction float64
 	// Storm arms recharge-storm admission control. Only the planning upper
 	// controller acts on it (leaves forward its pause/resume directives);
 	// the option is ignored elsewhere.
@@ -136,12 +131,12 @@ type AsyncOptions struct {
 	Obs *obs.Sink
 }
 
-func (o AsyncOptions) evalAfter(poll time.Duration) time.Duration {
-	f := o.EvalFraction
-	if f <= 0 || f > 1 {
-		f = 0.8
-	}
-	return time.Duration(f * float64(poll))
+// evalAfter is how long after a poll opens an incomplete generation
+// evaluates anyway from the telemetry that did arrive: 0.8 of the period.
+// Lost replies then degrade decisions instead of stalling the controller
+// forever, and the deadline always fires before the next poll opens.
+func evalAfter(poll time.Duration) time.Duration {
+	return time.Duration(0.8 * float64(poll))
 }
 
 // AsyncAgent is the message-driven per-rack request handler.
@@ -301,7 +296,7 @@ func NewAsyncLeafOpts(b *bus.Bus, engine *sim.Engine, node *power.Node, agentRac
 	for i, lr := range l.racks {
 		l.slot[lr.name] = i
 	}
-	l.pollLoop = newPollLoop(l, engine, name, len(l.agents), opts.evalAfter(poll))
+	l.pollLoop = newPollLoop(l, engine, name, len(l.agents), evalAfter(poll))
 	l.tracker = newOverrideTracker(&l.decider, l, opts.Retry, engine, "retry:"+name+"/", len(l.racks))
 	b.Register(name, l.handle)
 	engine.Every(poll, "poll:"+name, l.tick)
@@ -625,7 +620,7 @@ func NewAsyncUpperOpts(b *bus.Bus, engine *sim.Engine, node *power.Node, leaves 
 	// outright whenever each leaf owns a contiguous range of rack names.
 	slices.SortStableFunc(u.byName, func(a, b int) int { return strings.Compare(leaves[a].firstRack(), leaves[b].firstRack()) })
 	slices.SortFunc(u.byEndpoint, func(a, b int) int { return strings.Compare(leaves[a].comp, leaves[b].comp) })
-	u.pollLoop = newPollLoop(u, engine, name, len(u.leaves), opts.evalAfter(poll))
+	u.pollLoop = newPollLoop(u, engine, name, len(u.leaves), evalAfter(poll))
 	b.Register(name, func(now time.Duration, msg *bus.Message) {
 		panic(fmt.Errorf("dynamo: upper %s received unexpected %q", name, msg.Kind))
 	})

@@ -334,18 +334,16 @@ func (f *fakePoller) Down() bool                          { return f.down }
 func (f *fakePoller) request(_ time.Duration, gen uint64) { f.requested = append(f.requested, gen) }
 func (f *fakePoller) evaluate(now time.Duration)          { f.evaluated = append(f.evaluated, now) }
 
-// A reply counts only toward the generation whose request it answers, and a
-// deadline only for its own generation, even when the next poll opens
-// first: with EvalFraction 1 a deadline lands on the instant of the next
-// poll, and an injected delay can land a reply after it.
+// A reply counts only toward the generation whose request it answers: an
+// injected delay can land a reply after the next poll opens, and it must
+// complete nothing. Each generation evaluates once, at its last reply or at
+// its deadline (0.8 of the period), whichever comes first.
 func TestPollLoopCountsRepliesByGeneration(t *testing.T) {
 	const period = 3 * time.Second
 	engine := sim.NewEngine()
 	f := &fakePoller{}
-	p := newPollLoop(f, engine, "test", 2, AsyncOptions{EvalFraction: 1}.evalAfter(period))
+	p := newPollLoop(f, engine, "test", 2, evalAfter(period))
 	at := func(s float64) time.Duration { return time.Duration(s * float64(time.Second)) }
-	// Polls are scheduled before any deadline is posted, so at 6 s the
-	// second poll opens before the first generation's deadline fires.
 	for _, s := range []float64{3, 6, 9} {
 		engine.ScheduleAt(at(s), "poll", p.tick)
 	}
@@ -357,19 +355,17 @@ func TestPollLoopCountsRepliesByGeneration(t *testing.T) {
 	reply(6.5, 2)
 	reply(7, 2)
 
-	engine.Run(at(6))
-	if len(f.evaluated) != 0 {
-		t.Fatalf("generation 1's deadline evaluated generation 2 at %v", f.evaluated)
-	}
+	// Generation 1, one reply short, evaluates at its deadline.
 	engine.Run(at(6.5))
-	if len(f.evaluated) != 0 {
-		t.Fatalf("a late reply completed generation 2 at %v", f.evaluated)
+	if fmt.Sprint(f.evaluated) != fmt.Sprint([]time.Duration{at(5.4)}) {
+		t.Fatalf("evaluations at %v, want only generation 1's deadline at 5.4s", f.evaluated)
 	}
-	// Generation 2 evaluates at its last reply, its deadline at 9 s does
-	// nothing more, and generation 3, with no replies, at its deadline.
+	// The late reply did not complete generation 2, which evaluates at its
+	// own last reply; its deadline at 8.4 s does nothing more, and
+	// generation 3, with no replies, evaluates at its deadline.
 	engine.Run(at(12))
-	if fmt.Sprint(f.evaluated) != fmt.Sprint([]time.Duration{at(7), at(12)}) {
-		t.Errorf("evaluations at %v, want at 7s (last reply) and 12s (deadline)", f.evaluated)
+	if fmt.Sprint(f.evaluated) != fmt.Sprint([]time.Duration{at(5.4), at(7), at(11.4)}) {
+		t.Errorf("evaluations at %v, want at 5.4s (deadline), 7s (last reply) and 11.4s (deadline)", f.evaluated)
 	}
 	f.down = true
 	p.tick(at(12))

@@ -564,11 +564,10 @@ type pollLoop struct {
 	peers         int    // replies a generation awaits
 	evalAfter     time.Duration
 	deadlineLabel string
-	// deadlines holds the evaluation deadlines by generation parity. The
-	// deadline comes at most one poll period after its generation opens
-	// (EvalFraction ≤ 1), so it can still be pending when the next
-	// generation opens, but it has fired before the one after that.
-	deadlines [2]pollDeadline
+	// deadline is the newest generation's evaluation deadline. It fires
+	// before the next poll opens (evalAfter), so one event serves every
+	// generation.
+	deadline pollDeadline
 }
 
 func newPollLoop(ctl poller, engine *sim.Engine, name string, peers int, evalAfter time.Duration) pollLoop {
@@ -582,9 +581,8 @@ func (p *pollLoop) tick(now time.Duration) {
 	p.gen++
 	p.pending, p.evaluated = p.peers, false
 	p.ctl.request(now, p.gen)
-	d := &p.deadlines[p.gen%2]
-	d.loop, d.gen = p, p.gen
-	p.engine.PostAfter(p.evalAfter, p.deadlineLabel, d)
+	p.deadline.loop, p.deadline.gen = p, p.gen
+	p.engine.PostAfter(p.evalAfter, p.deadlineLabel, &p.deadline)
 }
 
 // replied counts one reply to generation gen, evaluating once the last one

@@ -277,7 +277,7 @@ func ParseSpec(s string) (*Spec, error) {
 }
 
 // ParseSpecWith parses like ParseSpec but attaches externally loaded series
-// (CSV/JSON files the caller already read) before validation, so a flag
+// (CSV files the caller already read) before validation, so a flag
 // string whose thresholds reference a file-loaded signal — say deferprice
 // with the price curve arriving from a CSV — parses cleanly. A series given
 // both inline and as a file is a conflict, not an override. Loaded series

@@ -2,8 +2,6 @@ package grid
 
 import (
 	"bufio"
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
 	"io"
@@ -215,41 +213,6 @@ const maxSeriesOffset = 365 * 24 * time.Hour
 
 const maxSeriesOffsetSeconds = float64(maxSeriesOffset / time.Second)
 
-// jsonPoint is the wire form of one series step.
-type jsonPoint struct {
-	TS float64 `json:"t_s"`
-	V  float64 `json:"v"`
-}
-
-// ParseSeriesJSON parses a JSON series: `[{"t_s": 0, "v": 120.5}, ...]`,
-// offsets in seconds. Unknown fields are rejected (strict decoder), and the
-// points pass the same NewSeries validation as the CSV path.
-func ParseSeriesJSON(data []byte) (*Series, error) {
-	dec := json.NewDecoder(bytes.NewReader(data))
-	dec.DisallowUnknownFields()
-	var raw []jsonPoint
-	if err := dec.Decode(&raw); err != nil {
-		return nil, fmt.Errorf("grid: decode series JSON: %v", err)
-	}
-	if dec.More() {
-		return nil, fmt.Errorf("grid: trailing data after series JSON")
-	}
-	pts := make([]Point, 0, len(raw))
-	for i, p := range raw {
-		if math.IsNaN(p.TS) || math.IsInf(p.TS, 0) {
-			return nil, fmt.Errorf("grid: point %d: non-finite offset", i)
-		}
-		if p.TS < 0 {
-			return nil, fmt.Errorf("grid: point %d: negative offset %v", i, p.TS)
-		}
-		if p.TS > maxSeriesOffsetSeconds {
-			return nil, fmt.Errorf("grid: point %d: offset beyond the %v bound", i, maxSeriesOffset)
-		}
-		pts = append(pts, Point{T: time.Duration(p.TS * float64(time.Second)), V: p.V})
-	}
-	return NewSeries(pts)
-}
-
 // StepSeries builds a series from (offset, value) pairs laid out flat:
 // StepSeries(0, 100, 3600*time.Second, 80) holds 100 on [0, 1h) and 80
 // after. It panics on invalid input — it exists for tests and synthetic
@@ -282,30 +245,6 @@ func StepSeries(pairs ...interface{}) *Series {
 		panic(err)
 	}
 	return s
-}
-
-// ShrinkCap builds the connect-and-manage cap schedule used by the
-// cap-shrink figures: the cap holds base, drops to base*(1-frac) at `at`,
-// and (when restore > at) recovers to base at `restore`. restore <= 0 means
-// the shrink is permanent.
-func ShrinkCap(base units.Power, frac float64, at, restore time.Duration) (*Series, error) {
-	if base <= 0 {
-		return nil, fmt.Errorf("grid: ShrinkCap base %v not positive", base)
-	}
-	if frac <= 0 || frac >= 1 {
-		return nil, fmt.Errorf("grid: ShrinkCap fraction %v outside (0,1)", frac)
-	}
-	if at <= 0 {
-		return nil, fmt.Errorf("grid: ShrinkCap time %v not positive", at)
-	}
-	pts := []Point{{T: 0, V: float64(base)}, {T: at, V: float64(base) * (1 - frac)}}
-	if restore > 0 {
-		if restore <= at {
-			return nil, fmt.Errorf("grid: ShrinkCap restore %v not after shrink %v", restore, at)
-		}
-		pts = append(pts, Point{T: restore, V: float64(base)})
-	}
-	return NewSeries(pts)
 }
 
 // SynthPrice generates a seed-reproducible day-ahead-style energy price

@@ -96,32 +96,6 @@ func TestParseSeriesCSVRejects(t *testing.T) {
 	}
 }
 
-func TestParseSeriesJSON(t *testing.T) {
-	s, err := ParseSeriesJSON([]byte(`[{"t_s":0,"v":205000},{"t_s":600,"v":143500}]`))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.At(10 * time.Minute); got != 143500 {
-		t.Fatalf("At(10m) = %v, want 143500", got)
-	}
-}
-
-func TestParseSeriesJSONRejects(t *testing.T) {
-	cases := map[string]string{
-		"unknown-field":   `[{"t_s":0,"v":1,"x":2}]`,
-		"negative-offset": `[{"t_s":-1,"v":1}]`,
-		"unsorted":        `[{"t_s":10,"v":1},{"t_s":5,"v":1}]`,
-		"trailing":        `[{"t_s":0,"v":1}] []`,
-		"not-array":       `{"t_s":0,"v":1}`,
-		"empty":           `[]`,
-	}
-	for name, in := range cases {
-		if _, err := ParseSeriesJSON([]byte(in)); err == nil {
-			t.Errorf("%s: accepted %s", name, in)
-		}
-	}
-}
-
 func TestSynthDeterministic(t *testing.T) {
 	a, err := SynthPrice(7, 15*time.Minute, 24*time.Hour, 60, 40)
 	if err != nil {
@@ -147,27 +121,5 @@ func TestSynthDeterministic(t *testing.T) {
 	}
 	if carbon.Min() < 0 {
 		t.Fatalf("synthetic carbon intensity went negative: %v", carbon.Min())
-	}
-}
-
-func TestShrinkCapSchedule(t *testing.T) {
-	s, err := ShrinkCap(200e3, 0.3, time.Hour, 2*time.Hour)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := s.At(30 * time.Minute); got != 200e3 {
-		t.Fatalf("pre-shrink cap = %v", got)
-	}
-	if got := s.At(90 * time.Minute); math.Abs(got-140e3) > 1e-6 {
-		t.Fatalf("shrunk cap = %v, want 140000", got)
-	}
-	if got := s.At(3 * time.Hour); got != 200e3 {
-		t.Fatalf("restored cap = %v", got)
-	}
-	if _, err := ShrinkCap(200e3, 1.5, time.Hour, 0); err == nil {
-		t.Fatal("accepted shrink fraction > 1")
-	}
-	if _, err := ShrinkCap(200e3, 0.3, 2*time.Hour, time.Hour); err == nil {
-		t.Fatal("accepted restore before shrink")
 	}
 }

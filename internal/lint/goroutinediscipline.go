@@ -53,10 +53,6 @@ var GoroutineDiscipline = &Analyzer{
 // //coordvet:detached <why>.
 const DetachedMarker = "coordvet:detached"
 
-// detachedFixText is the placeholder annotation -fix inserts after the go
-// statement.
-const detachedFixText = " //" + DetachedMarker + " TODO(coordvet): justify why nothing joins this goroutine"
-
 type detachedAnnot struct {
 	pos  token.Position
 	tok  token.Pos
@@ -122,16 +118,8 @@ func runGoroutineDiscipline(p *Pass) {
 						return true
 					}
 					if !joinEvidence(p, s) {
-						*p.diags = append(*p.diags, Diagnostic{
-							Analyzer: p.Analyzer.Name,
-							Pos:      p.Prog.Fset.Position(s.Pos()),
-							Message: "goroutine has no provable join (WaitGroup Done, channel send, or close) and no //" +
-								DetachedMarker + " annotation",
-							Fix: &SuggestedFix{
-								Message: "annotate the goroutine as deliberately detached",
-								Edits:   []TextEdit{{Pos: s.End(), End: s.End(), NewText: detachedFixText}},
-							},
-						})
+						p.Reportf(s.Pos(), "goroutine has no provable join (WaitGroup Done, channel send, or close) and no //%s annotation",
+							DetachedMarker)
 					}
 				case *ast.CallExpr:
 					checkTickerAndCancel(p, fd, s)

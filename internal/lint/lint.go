@@ -62,32 +62,11 @@ func ByName(names string) ([]*Analyzer, error) {
 	return out, nil
 }
 
-// TextEdit is one span replacement in a source file: the bytes in
-// [Pos, End) are replaced by NewText. Pos == End inserts.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText string
-}
-
-// SuggestedFix is an optional machine-applicable remedy attached to a
-// diagnostic. The driver's -fix mode applies the edits; fixes are only
-// offered where the edit is safe to apply blindly — today that means
-// inserting a `TODO(coordvet)`-justified //coordvet:detached annotation. The placeholder justification is valid
-// (the finding is silenced) but deliberately grep-able, so review can hold
-// the line on replacing it with a real reason.
-type SuggestedFix struct {
-	Message string
-	Edits   []TextEdit
-}
-
 // Diagnostic is one positioned finding.
 type Diagnostic struct {
 	Analyzer string
 	Pos      token.Position
 	Message  string
-	// Fix, when non-nil, is a machine-applicable remedy (see -fix).
-	Fix *SuggestedFix
 }
 
 // String renders the diagnostic in the conventional file:line:col form.

@@ -1,17 +1,12 @@
 package lint
 
-import (
-	"path/filepath"
-	"testing"
-)
+import "testing"
 
-// TestRepoIsClean runs the full suite over the whole module and subtracts
-// the committed baseline — the same gate CI uses (`go run ./cmd/coordvet
-// -baseline coordvet_baseline.json ./...`): the tree must stay burned down,
-// every contract violation fixed, explicitly annotated with a justification,
-// or recorded in the ledger. A failure here is a new finding; run coordvet
-// locally for positions. Retired ledger entries also fail, so the baseline
-// can only ever shrink in step with the code.
+// TestRepoIsClean runs the full suite over the whole module — the same gate
+// CI uses (`go run ./cmd/coordvet ./...`): the tree must stay burned down,
+// every contract violation fixed or explicitly annotated with a
+// justification. A failure here is a new finding; run coordvet locally for
+// positions.
 func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
@@ -27,17 +22,7 @@ func TestRepoIsClean(t *testing.T) {
 	if len(pkgs) < 30 {
 		t.Fatalf("suspiciously few packages scanned: %d", len(pkgs))
 	}
-	diags := Run(loader.Program(pkgs), All())
-
-	baseline, err := ReadBaseline(filepath.Join(loader.ModRoot, "coordvet_baseline.json"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	fresh, retired := baseline.Filter(loader.ModRoot, diags)
-	for _, d := range fresh {
+	for _, d := range Run(loader.Program(pkgs), All()) {
 		t.Errorf("%s", d)
-	}
-	for _, e := range retired {
-		t.Errorf("retired baseline entry (prune with -write-baseline): %s [%s] %s", e.File, e.Analyzer, e.Message)
 	}
 }

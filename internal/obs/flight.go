@@ -1,11 +1,8 @@
 package obs
 
 import (
-	"bufio"
-	"encoding/json"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"sort"
 	"strconv"
 	"sync"
@@ -152,21 +149,4 @@ func (r *Recorder) Digest() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return strconv.FormatUint(r.hash, 16)
-}
-
-// WriteJSONL dumps the retained events as JSON Lines, oldest first, so any
-// trip or SLA miss can be reconstructed post-hoc from the decisions that led
-// to it. A nil recorder writes nothing.
-func (r *Recorder) WriteJSONL(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
-	for _, e := range r.Last(0) {
-		if err := enc.Encode(e); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
 }

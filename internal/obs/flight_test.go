@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"testing"
 	"time"
 )
@@ -63,25 +62,6 @@ func TestDigestCoversAttrs(t *testing.T) {
 	b.Record(0, "c", "k", "rack", "rack002")
 	if a.Digest() == b.Digest() {
 		t.Fatal("digest ignored attribute values")
-	}
-}
-
-func TestWriteJSONL(t *testing.T) {
-	r := NewRecorder(8)
-	record3(r)
-	var sb strings.Builder
-	if err := r.WriteJSONL(&sb); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("JSONL lines = %d, want 3", len(lines))
-	}
-	if !strings.Contains(lines[0], `"kind":"plan"`) || !strings.Contains(lines[0], `"starts":"4"`) {
-		t.Fatalf("first line missing plan fields: %s", lines[0])
-	}
-	if !strings.Contains(lines[2], `"comp":"guard/msb"`) {
-		t.Fatalf("last line missing comp: %s", lines[2])
 	}
 }
 

@@ -72,13 +72,3 @@ func (n *Node) propagateInput(now time.Duration) {
 	}
 	walk(n, n.Energized())
 }
-
-// OpenTransition performs a complete open transition at this breaker using
-// the engine-free tick pattern: it de-energizes now and returns the restore
-// callback to invoke at the end of the transition. Most callers instead call
-// Deenergize/Reenergize directly from their simulation loop; this helper
-// exists for event-driven code.
-func (n *Node) OpenTransition(start time.Duration) (restore func(now time.Duration)) {
-	n.Deenergize(start)
-	return n.Reenergize
-}

@@ -148,18 +148,6 @@ func TestResetWithoutTripIsHarmless(t *testing.T) {
 	}
 }
 
-func TestOpenTransitionHelper(t *testing.T) {
-	_, sb, _, loads := buildThree()
-	restore := sb.OpenTransition(10 * time.Second)
-	if loads[0].up {
-		t.Error("load up during open transition")
-	}
-	restore(55 * time.Second)
-	if !loads[0].up {
-		t.Error("load down after transition restore")
-	}
-}
-
 func TestNonSwitchableLoadsTolerated(t *testing.T) {
 	rpp := NewNode("rpp", LevelRPP, DefaultRPPLimit)
 	rpp.AttachLoad(&stubLoad{"fixed", 5 * units.Kilowatt})

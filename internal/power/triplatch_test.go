@@ -68,22 +68,22 @@ func TestTripSurvivesDeenergizeReenergize(t *testing.T) {
 
 func TestOpenTransitionRestoreDoesNotClearTrip(t *testing.T) {
 	msb, _, loads := tripThree()
-	restore := msb.OpenTransition(0)
+	msb.Deenergize(0)
 	// The breaker trips mid-transition (e.g. a downstream fault found during
 	// maintenance): Power() is 0 while de-energized, so trip it directly via
 	// a nested child... the MSB itself cannot overdraw while dark. Instead,
 	// re-energize first, then trip, then run a second transition.
-	restore(10 * time.Second)
+	msb.Reenergize(10 * time.Second)
 	tripNow(t, msb, 10*time.Second)
 
-	restore2 := msb.OpenTransition(60 * time.Second)
-	restore2(70 * time.Second)
+	msb.Deenergize(60 * time.Second)
+	msb.Reenergize(70 * time.Second)
 	if !msb.Tripped() {
-		t.Fatal("OpenTransition restore cleared the trip")
+		t.Fatal("open-transition restore cleared the trip")
 	}
 	for _, l := range loads {
 		if l.up {
-			t.Fatalf("load %s up under a tripped breaker after OpenTransition restore", l.name)
+			t.Fatalf("load %s up under a tripped breaker after open-transition restore", l.name)
 		}
 	}
 }

@@ -332,38 +332,6 @@ func (s *Simulator) Sweep(horizonYears float64, chargeTimes []time.Duration) []S
 	return out
 }
 
-// RequiredChargeTime inverts the Fig 9a relationship: the longest battery
-// charging time whose AOR still meets targetAOR, searched over [1 min, max]
-// at the given resolution (zero selects one minute). It returns false when
-// even the shortest charge misses the target. This is how a new priority
-// tier's charging-time SLA is derived from an availability goal.
-func (s *Simulator) RequiredChargeTime(horizonYears float64, targetAOR units.Fraction, max time.Duration, resolution time.Duration) (time.Duration, bool) {
-	if resolution <= 0 {
-		resolution = time.Minute
-	}
-	if max <= 0 {
-		max = 3 * time.Hour
-	}
-	ds := s.Disruptions(horizonYears)
-	if AOR(ds, time.Minute, horizonYears) < targetAOR {
-		return 0, false
-	}
-	// AOR is monotone nonincreasing in charge time: bisect.
-	lo, hi := time.Minute, max
-	if AOR(ds, max, horizonYears) >= targetAOR {
-		return max, true
-	}
-	for hi-lo > resolution {
-		mid := lo + (hi-lo)/2
-		if AOR(ds, mid, horizonYears) >= targetAOR {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo, true
-}
-
 // SLARow is one row of Table II: a priority's AOR target and the charging
 // time that achieves it.
 type SLARow struct {

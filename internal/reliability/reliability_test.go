@@ -213,45 +213,6 @@ func TestOutageDominatedByRepairTime(t *testing.T) {
 	}
 }
 
-func TestRequiredChargeTimeInvertsTableII(t *testing.T) {
-	s, _ := NewSimulator(TableI(), 3)
-	const years = 10000
-	// The 99.90% AOR target (P2) should be achievable with a charge time in
-	// the neighbourhood of the paper's 60-minute SLA.
-	ct, ok := s.RequiredChargeTime(years, 0.9990, 3*time.Hour, time.Minute)
-	if !ok {
-		t.Fatal("99.90% AOR reported unreachable")
-	}
-	if ct < 40*time.Minute || ct > 80*time.Minute {
-		t.Errorf("charge time for 99.90%% AOR = %v, want ~60 min", ct)
-	}
-	// The returned time actually meets the target...
-	s2, _ := NewSimulator(TableI(), 3)
-	ds := s2.Disruptions(years)
-	if got := AOR(ds, ct, years); got < 0.9990 {
-		t.Errorf("AOR at returned charge time = %v < target", got)
-	}
-	// ...and is maximal at the resolution.
-	if got := AOR(ds, ct+2*time.Minute, years); got >= 0.9990 {
-		t.Errorf("charge time not maximal: %v still meets target", ct+2*time.Minute)
-	}
-}
-
-func TestRequiredChargeTimeUnreachableTarget(t *testing.T) {
-	s, _ := NewSimulator(TableI(), 3)
-	if _, ok := s.RequiredChargeTime(2000, 0.99999, time.Hour, time.Minute); ok {
-		t.Error("five-nines AOR reported achievable despite outage floor")
-	}
-}
-
-func TestRequiredChargeTimeGenerousTarget(t *testing.T) {
-	s, _ := NewSimulator(TableI(), 3)
-	ct, ok := s.RequiredChargeTime(2000, 0.99, 2*time.Hour, time.Minute)
-	if !ok || ct != 2*time.Hour {
-		t.Errorf("generous target = %v/%v, want full max duration", ct, ok)
-	}
-}
-
 func TestBreakdownAttribution(t *testing.T) {
 	s, _ := NewSimulator(TableI(), 9)
 	const years = 5000

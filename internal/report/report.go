@@ -108,34 +108,6 @@ func (t *Table) RenderCSV(w io.Writer) error {
 	return err
 }
 
-// RenderMarkdown writes the table as a GitHub-flavored markdown table (used
-// when pasting results into issues or the EXPERIMENTS log).
-func (t *Table) RenderMarkdown(w io.Writer) error {
-	san := func(s string) string { return strings.ReplaceAll(s, "|", "\\|") }
-	var b strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&b, "**%s**\n\n", san(t.Title))
-	}
-	b.WriteString("|")
-	for _, c := range t.Columns {
-		b.WriteString(" " + san(c) + " |")
-	}
-	b.WriteString("\n|")
-	for range t.Columns {
-		b.WriteString("---|")
-	}
-	b.WriteString("\n")
-	for _, row := range t.Rows {
-		b.WriteString("|")
-		for _, cell := range row {
-			b.WriteString(" " + san(cell) + " |")
-		}
-		b.WriteString("\n")
-	}
-	_, err := io.WriteString(w, b.String())
-	return err
-}
-
 // Point is one (x, y) sample.
 type Point struct {
 	X, Y float64

@@ -70,38 +70,6 @@ func TestTableCSV(t *testing.T) {
 	}
 }
 
-func TestTableMarkdown(t *testing.T) {
-	tb := NewTable("Cap|ping", "Case", "kW")
-	tb.Add("a|b", "149")
-	var sb strings.Builder
-	if err := tb.RenderMarkdown(&sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	for _, want := range []string{
-		"**Cap\\|ping**",
-		"| Case | kW |",
-		"|---|---|",
-		"| a\\|b | 149 |",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("markdown missing %q:\n%s", want, out)
-		}
-	}
-}
-
-func TestTableMarkdownNoTitle(t *testing.T) {
-	tb := NewTable("", "A")
-	tb.Add("1")
-	var sb strings.Builder
-	if err := tb.RenderMarkdown(&sb); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(sb.String(), "**") {
-		t.Error("empty title rendered")
-	}
-}
-
 func TestChartASCIIBasics(t *testing.T) {
 	c := NewChart("Fig X", "time", "power")
 	s := c.AddSeries("original")

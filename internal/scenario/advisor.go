@@ -7,7 +7,6 @@ import (
 	"coordcharge/internal/battery"
 	"coordcharge/internal/charger"
 	"coordcharge/internal/dynamo"
-	"coordcharge/internal/oversub"
 	"coordcharge/internal/par"
 	"coordcharge/internal/rack"
 	"coordcharge/internal/report"
@@ -217,7 +216,9 @@ func Advise(spec AdvisorSpec) (*Advice, error) {
 	adv.SavedCostLowUSD = float64(adv.SavedPower) * 10
 	adv.SavedCostHighUSD = float64(adv.SavedPower) * 20
 	adv.Nameplate = units.Power(n) * rack.MaxITLoad
-	adv.OversubRatio = oversub.Ratio(adv.Nameplate, adv.MinFullSLALimit)
+	if adv.MinFullSLALimit > 0 {
+		adv.OversubRatio = float64(adv.Nameplate) / float64(adv.MinFullSLALimit)
+	}
 	return adv, nil
 }
 

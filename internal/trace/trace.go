@@ -494,16 +494,6 @@ func (g *Generator) AggregateRate() float64 {
 // the anchor and the query differ.
 func (g *Generator) SwingRegime(t time.Duration) float64 { return g.swingAt(t) }
 
-// FirstPeak scans the generator's first diurnal period for the aggregate
-// maximum.
-func (g *Generator) FirstPeak(resolution time.Duration) time.Duration {
-	horizon := g.spec.DiurnalPeriod
-	if horizon > g.spec.Duration {
-		horizon = g.spec.Duration
-	}
-	return FirstPeak(g, horizon, resolution)
-}
-
 // Stats summarises the aggregate draw over [from, to] at the given step.
 type Stats struct {
 	Min, Max, Mean units.Power

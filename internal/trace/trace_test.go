@@ -85,7 +85,7 @@ func TestDiurnalPeriodicity(t *testing.T) {
 
 func TestFirstPeakNearPeakTime(t *testing.T) {
 	g := defaultGen(t)
-	p := g.FirstPeak(time.Minute)
+	p := FirstPeak(g, 24*time.Hour, time.Minute)
 	if p < 12*time.Hour || p > 16*time.Hour {
 		t.Errorf("first peak at %v, want ~14 h", p)
 	}
