@@ -11,6 +11,9 @@
 //	go run ./cmd/coordvet -run determinism ./internal/...
 //	go run ./cmd/coordvet -list
 //
+// Package patterns resolve against the working directory, as the go
+// command's do; a pattern that leaves the module is a usage error.
+//
 // Exit status: 0 clean, 1 findings, 2 usage or load error. Findings are
 // reported as file:line:col: [analyzer] message. Suppress a single finding
 // with `//coordvet:ignore <analyzer> <justification>` on the same line or

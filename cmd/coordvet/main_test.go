@@ -27,7 +27,8 @@ func writeModule(t *testing.T, files map[string]string) string {
 }
 
 // TestExitStatus pins the gate's contract: 0 and silence on a clean module,
-// 1 with the finding on stdout, 2 on a usage error.
+// 1 with the finding on stdout, 2 on a usage error. Patterns resolve against
+// the working directory, and one that leaves the module is a usage error.
 func TestExitStatus(t *testing.T) {
 	clean := writeModule(t, map[string]string{
 		"internal/ok/ok.go": "package ok\n\nfunc Joined() {\n\tdone := make(chan struct{})\n\tgo func() { close(done) }()\n\t<-done\n}\n",
@@ -47,6 +48,10 @@ func TestExitStatus(t *testing.T) {
 		{"finding", leaky, []string{"./..."}, 1,
 			filepath.Join("internal", "leak", "leak.go") + ":4:2: [goroutinediscipline] goroutine has no provable join",
 			"coordvet: 1 finding(s) in 1 package(s)"},
+		{"package directory", filepath.Join(leaky, "internal", "leak"), []string{"."}, 1,
+			"leak.go:4:2: [goroutinediscipline] goroutine has no provable join",
+			"coordvet: 1 finding(s) in 1 package(s)"},
+		{"outside the module", filepath.Join(leaky, "internal"), []string{"../../..."}, 2, "", "is outside the module"},
 		{"unknown analyzer", clean, []string{"-run", "nosuch", "./..."}, 2, "", `unknown analyzer "nosuch"`},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -66,7 +66,7 @@ func main() {
 		drive(mark-2*time.Second, mark)
 		fmt.Printf("t=%-4v charging currents:", mark)
 		for _, r := range racks {
-			fmt.Printf(" %s=%v", r.Name()[len(r.Name())-5:], r.Pack().Setpoint())
+			fmt.Printf(" %s=%v", r.Name(), r.Pack().Setpoint())
 		}
 		fmt.Println()
 	}

@@ -127,28 +127,36 @@ func BuildHierarchyOpts(root *power.Node, mode Mode, cfg core.Config, opts Hiera
 		h.byNode[n] = ctl
 	}
 	if opts.Guard != nil {
-		queue := h.byNode[root].StormQueue()
-		for _, n := range nodes {
-			var racks []*rack.Rack
-			for _, l := range n.RackLoads() {
-				racks = append(racks, l.(*rack.Rack))
-			}
-			g := storm.NewGuard(n, racks, cfg, *opts.Guard)
-			if queue != nil {
-				g.AttachQueue(queue)
-			}
-			if opts.Grid != nil && n == root {
-				// The interconnection cap constrains the site feed: only
-				// the root (MSB) guard sheds against it.
-				g.SetCapacity(opts.Grid.CapAt)
-			}
-			if opts.Obs != nil {
-				g.SetObs(opts.Obs)
-			}
-			h.guards = append(h.guards, g)
-		}
+		h.guards = NewGuards(root, nodes, cfg, *opts.Guard, h.byNode[root].StormQueue(), opts.Grid, opts.Obs)
 	}
 	return h, nil
+}
+
+// NewGuards builds a breaker guard for each of nodes, in the order given
+// (the order the plane ticks them), each shedding among the racks its node
+// feeds. Paused charges go to queue when it is non-nil. Only root's guard
+// sheds against pol's interconnection cap, because the cap constrains the
+// site feed. Both control planes build their guards here.
+func NewGuards(root *power.Node, nodes []*power.Node, cfg core.Config, gcfg storm.GuardConfig, queue *storm.Queue, pol *grid.Policy, sink *obs.Sink) []*storm.Guard {
+	var guards []*storm.Guard
+	for _, n := range nodes {
+		var racks []*rack.Rack
+		for _, l := range n.RackLoads() {
+			racks = append(racks, l.(*rack.Rack))
+		}
+		g := storm.NewGuard(n, racks, cfg, gcfg)
+		if queue != nil {
+			g.AttachQueue(queue)
+		}
+		if pol != nil && n == root {
+			g.SetCapacity(pol.CapAt)
+		}
+		if sink != nil {
+			g.SetObs(sink)
+		}
+		guards = append(guards, g)
+	}
+	return guards
 }
 
 // Tick runs one monitoring cycle on every controller, bottom-up, then the

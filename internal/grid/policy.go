@@ -1,11 +1,9 @@
 package grid
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 	"time"
 
 	"coordcharge/internal/core"
@@ -106,7 +104,7 @@ type Policy struct {
 
 	shaving  []*rack.Rack // discharge order preserved for determinism
 	shaveSet map[string]bool
-	order    []*rack.Rack // shedOrder's buffer, reused every call
+	order    []*rack.Rack // storm.ShedOrder's buffer, reused every call
 
 	metrics Metrics
 
@@ -482,7 +480,8 @@ func (p *Policy) updateDefer(now time.Duration) {
 // the frequency-droop response, the same mass pause a site outage causes.
 // Reverse priority order for a deterministic flight journal.
 func (p *Policy) pauseAllCharging(now time.Duration) {
-	for _, r := range p.shedOrder() {
+	p.order = storm.ShedOrder(p.order, p.racks)
+	for _, r := range p.order {
 		if !r.InputUp() || !r.Charging() {
 			continue
 		}
@@ -660,33 +659,12 @@ func (p *Policy) eligibleToShave(r *rack.Rack) bool {
 		r.BatteryDOD() < p.cfg.MaxShaveDOD
 }
 
-// shedOrder returns racks in cap-enforcement order: reverse priority,
-// deepest discharge first, then name — the breaker guard's ladder. The
-// slice is the policy's buffer, valid until the next call.
-func (p *Policy) shedOrder() []*rack.Rack {
-	p.order = append(p.order[:0], p.racks...)
-	slices.SortStableFunc(p.order, shedCmp)
-	return p.order
-}
-
-// shedCmp orders two racks for shedOrder: a total order on (priority
-// descending, DOD descending, name).
-func shedCmp(a, b *rack.Rack) int {
-	if pa, pb := a.Priority(), b.Priority(); pa != pb {
-		return cmp.Compare(pb, pa)
-	}
-	if da, db := a.BatteryDOD(), b.BatteryDOD(); da != db {
-		return cmp.Compare(db, da)
-	}
-	return strings.Compare(a.Name(), b.Name())
-}
-
 // enforceCap brings feed draw under the effective cap within this tick when
-// a cap step lands mid-recharge: demote charging racks to the safe current,
-// then pause them into the admission queue, reverse priority — the guard's
-// first two rungs, acted over direct rack handles so the correction is not
-// subject to command-plane latency. IT capping is left to the breaker
-// guard: an interconnection cap never outranks availability.
+// a cap step lands mid-recharge: the guard's charge-shedding rungs (demote
+// to the safe current, then pause into the admission queue, in its shed
+// order), acted over direct rack handles so the correction is not subject
+// to command-plane latency. IT capping is left to the breaker guard: an
+// interconnection cap never outranks availability.
 func (p *Policy) enforceCap(now time.Duration) {
 	if p.node == nil || !p.node.Energized() {
 		return
@@ -699,37 +677,22 @@ func (p *Policy) enforceCap(now time.Duration) {
 		return
 	}
 	safe := p.ccfg.SafeCurrent()
-	order := p.shedOrder()
-	for _, r := range order {
-		if p.node.Power() <= cap {
-			return
-		}
-		if !r.InputUp() || !r.Charging() || r.Pack().Setpoint() <= safe {
-			continue
-		}
-		r.OverrideCurrent(safe)
+	p.order = storm.ShedOrder(p.order, p.racks)
+	storm.ShedCharging(p.node, p.order, cap, safe, func(r *rack.Rack) {
 		p.metrics.CapDemotions++
 		p.cCapShed.Inc()
 		if p.sink != nil {
 			p.sink.Event(now, p.comp(), "cap-demote",
 				"rack", r.Name(), "amps", fmt.Sprintf("%d", int(safe)))
 		}
-	}
-	for _, r := range order {
-		if p.node.Power() <= cap {
-			return
-		}
-		if !r.InputUp() || !r.Charging() {
-			continue
-		}
-		r.Postpone()
+	}, func(r *rack.Rack) {
 		p.metrics.CapPauses++
 		p.cCapShed.Inc()
 		p.queue.Enqueue(now, storm.Request{Name: r.Name(), Priority: r.Priority(), DOD: r.PendingDOD(), Since: r.ChargeStart()})
 		if p.sink != nil {
 			p.sink.Event(now, p.comp(), "cap-pause", "rack", r.Name())
 		}
-	}
+	})
 }
 
 // repairSLA is the demotion rungs' symmetric counterpart: charges stuck at
@@ -752,9 +715,9 @@ func (p *Policy) repairSLA(now time.Duration) {
 	if !slices.ContainsFunc(p.racks, func(r *rack.Rack) bool { return p.repairable(r, safe) }) {
 		return // nothing to repair: skip the sort
 	}
-	order := p.shedOrder()
-	for i := len(order) - 1; i >= 0; i-- {
-		r := order[i]
+	p.order = storm.ShedOrder(p.order, p.racks)
+	for i := len(p.order) - 1; i >= 0; i-- {
+		r := p.order[i]
 		if !p.repairable(r, safe) {
 			continue
 		}

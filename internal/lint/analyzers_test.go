@@ -112,19 +112,20 @@ func TestByName(t *testing.T) {
 	}
 }
 
-// TestLoadPatterns sanity-checks ./... expansion against the real module:
-// the lint package itself must be found, testdata must not be.
+// TestLoadPatterns sanity-checks ./... expansion against the real module,
+// from the lint package's own directory: the lint package itself must be
+// found, testdata must not be.
 func TestLoadPatterns(t *testing.T) {
 	loader, err := NewLoader(".")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pkgs, err := loader.LoadPatterns([]string{"./internal/lint"})
+	pkgs, err := loader.LoadPatterns([]string{"./..."})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(pkgs) != 1 || pkgs[0].Path != "coordcharge/internal/lint" {
-		t.Fatalf("LoadPatterns(./internal/lint) = %v", pkgs)
+		t.Fatalf("LoadPatterns(./...) = %v", pkgs)
 	}
 	for _, p := range pkgs {
 		if strings.Contains(p.Path, "testdata") {

@@ -24,6 +24,9 @@ type Loader struct {
 	// ModRoot is the module root directory; ModPath its module path.
 	ModRoot string
 	ModPath string
+	// Dir is the directory relative package patterns resolve against: the
+	// one NewLoader was given, made absolute.
+	Dir string
 	// GoVersion is the language version the type-checker enforces
 	// ("go1.22"), read from the module's go directive. Without it go/types
 	// accepts any language feature the toolchain knows — including ones
@@ -86,6 +89,7 @@ func NewLoader(dir string) (*Loader, error) {
 		Fset:      fset,
 		ModRoot:   root,
 		ModPath:   modPath,
+		Dir:       abs,
 		GoVersion: goVersion,
 		std:       importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
 		pkgs:      map[string]*Package{},
@@ -190,8 +194,9 @@ func (l *Loader) Program(scanned []*Package) *Program {
 	return prog
 }
 
-// LoadPatterns expands `./...`-style patterns relative to the module root
-// and loads every matching package, sorted by import path.
+// LoadPatterns expands `./...`-style patterns relative to Dir, as the go
+// command does from its working directory, and loads every matching package,
+// sorted by import path. A pattern that leaves the module is an error.
 func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
 	seen := map[string]bool{}
 	var paths []string
@@ -203,13 +208,13 @@ func (l *Loader) LoadPatterns(patterns []string) ([]*Package, error) {
 	}
 	for _, pat := range patterns {
 		rel, recursive := strings.CutSuffix(pat, "...")
-		rel = strings.TrimSuffix(rel, "/")
-		if rel == "" || rel == "." {
-			rel = "."
-		} else {
-			rel = filepath.Clean(strings.TrimPrefix(rel, "./"))
+		base := filepath.Clean(rel)
+		if !filepath.IsAbs(base) {
+			base = filepath.Join(l.Dir, base)
 		}
-		base := filepath.Join(l.ModRoot, rel)
+		if r, err := filepath.Rel(l.ModRoot, base); err != nil || r == ".." || strings.HasPrefix(r, ".."+string(filepath.Separator)) {
+			return nil, fmt.Errorf("lint: pattern %q is outside the module at %s", pat, l.ModRoot)
+		}
 		if !recursive {
 			if ok, err := hasGoSources(base); err != nil {
 				return nil, err

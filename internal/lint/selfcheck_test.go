@@ -11,7 +11,7 @@ func TestRepoIsClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module; skipped in -short")
 	}
-	loader, err := NewLoader(".")
+	loader, err := NewLoader("../..") // the module root: patterns resolve against it
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,12 +8,11 @@ import (
 	"coordcharge/internal/dynamo"
 	"coordcharge/internal/rack"
 	"coordcharge/internal/report"
-	"coordcharge/internal/server"
 	"coordcharge/internal/units"
 )
 
-// ServersPerRack is the nominal web-tier machine count per rack used by the
-// Case II server ledger.
+// ServersPerRack is the nominal web-tier machine count per rack used to
+// count Case II's capped servers.
 const ServersPerRack = 30
 
 // CaseIIResult summarises the Case II replay (§II-D): a tripped utility feed
@@ -24,10 +23,10 @@ type CaseIIResult struct {
 	Table *report.Table
 	// TotalCapped is the building-wide peak server power capping.
 	TotalCapped units.Power
-	// ServersCapped counts the servers Dynamo had to cap, from a per-server
-	// ledger (ServersPerRack machines per rack, lowest service priority
-	// first, 50 % per-server floor). The paper reports more than ten
-	// thousand across the building.
+	// ServersCapped counts the servers Dynamo had to cap: ServersPerRack
+	// machines per rack share each MSB's load, and each capped server gives
+	// up at most half its draw (see cappedServers). The paper reports more
+	// than ten thousand across the building.
 	ServersCapped int
 	// MaxIncrease is the largest per-MSB relative power increase.
 	MaxIncrease units.Fraction
@@ -83,9 +82,10 @@ func RunCaseII(numMSB int, seed int64) (*CaseIIResult, error) {
 			res.MaxIncrease = inc
 		}
 		res.TotalCapped += run.Metrics.MaxCapping
-		// Per-server accounting: spread the MSB's capping across its server
-		// ledger exactly as Dynamo does — lowest service priority first.
-		res.ServersCapped += cappedServers(run, before)
+		// Per-server accounting: ServersPerRack machines per rack share
+		// the MSB's load before the transition.
+		servers := (run.Racks[rack.P1] + run.Racks[rack.P2] + run.Racks[rack.P3]) * ServersPerRack
+		res.ServersCapped += cappedServers(servers, before, run.Metrics.MaxCapping)
 		res.Table.Add(
 			fmt.Sprintf("msb%02d", i),
 			before.String(),
@@ -98,28 +98,27 @@ func RunCaseII(numMSB int, seed int64) (*CaseIIResult, error) {
 	return res, nil
 }
 
-// cappedServers builds the MSB's per-server ledger and sheds the observed
-// peak capping through it, returning how many machines took a cap.
-func cappedServers(run *CoordResult, msbLoad units.Power) int {
-	nRacks := run.Racks[rack.P1] + run.Racks[rack.P2] + run.Racks[rack.P3]
-	if nRacks == 0 || run.Metrics.MaxCapping <= 0 {
+// cappedServers counts the servers Dynamo caps to take capping out of an
+// MSB of n servers that share load equally (so which priority goes first
+// does not change the count): in turn, each server is cut by at most half
+// its draw until the cuts cover the capping. A server counts when its cut
+// lowers its draw, so a cut below half an ulp of the draw caps nobody. The
+// float operations and their order are those of shedding through a
+// per-server ledger with a 50 % floor.
+func cappedServers(n int, load, capping units.Power) int {
+	if n <= 0 || capping <= 0 {
 		return 0
 	}
-	perServer := units.Power(float64(msbLoad) / float64(nRacks*ServersPerRack))
-	var servers []server.Server
-	for _, p := range []rack.Priority{rack.P1, rack.P2, rack.P3} {
-		for i := 0; i < run.Racks[p]*ServersPerRack; i++ {
-			servers = append(servers, server.Server{
-				Name:     fmt.Sprintf("%v-%06d", p, i),
-				Priority: p,
-				Demand:   perServer,
-			})
+	perServer := units.Power(float64(load) / float64(n))
+	reducible := perServer - perServer*0.5
+	capped := 0
+	var shed units.Power
+	for i := 0; i < n && shed < capping; i++ {
+		cut := min(reducible, capping-shed)
+		if perServer-cut < perServer {
+			capped++
 		}
+		shed += cut
 	}
-	pool, err := server.NewPool(servers)
-	if err != nil {
-		panic(err) // generated ledger; unreachable
-	}
-	pool.Shed(run.Metrics.MaxCapping, 0.5)
-	return pool.CappedCount()
+	return capped
 }

@@ -3,6 +3,8 @@ package scenario
 import (
 	"strings"
 	"testing"
+
+	"coordcharge/internal/units"
 )
 
 // Case II (§II-D): every MSB jumps by more than 20 % and, building-wide,
@@ -45,5 +47,31 @@ func TestCaseIIDefaultBuildingSize(t *testing.T) {
 	}
 	if len(res.Table.Rows) != 3 {
 		t.Errorf("rows = %d, want 3", len(res.Table.Rows))
+	}
+}
+
+// cappedServers counts the equal half-draw cuts that cover a capping, and a
+// server counts only when its cut lowers its draw in float arithmetic.
+func TestCappedServers(t *testing.T) {
+	for _, tc := range []struct {
+		name          string
+		n             int
+		load, capping units.Power
+		want          int
+	}{
+		// 100 servers of 200 W: each cut takes at most 100 W.
+		{"zero capping", 100, 20 * units.Kilowatt, 0, 0},
+		{"exact cuts", 100, 20 * units.Kilowatt, 300, 3},
+		{"partial last cut", 100, 20 * units.Kilowatt, 350, 4},
+		{"beyond every floor", 100, 20 * units.Kilowatt, 20 * units.Kilowatt, 100},
+		// 1 kW servers: half an ulp of 1000 is about 5.7e-14 W, so
+		// 1000-1e-14 rounds back to 1000 and the server is not capped.
+		{"cut below half an ulp", 100, 100 * units.Kilowatt, 1e-14, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := cappedServers(tc.n, tc.load, tc.capping); got != tc.want {
+				t.Errorf("cappedServers(%d, %v, %v) = %d, want %d", tc.n, tc.load, tc.capping, got, tc.want)
+			}
+		})
 	}
 }

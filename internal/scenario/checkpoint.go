@@ -183,15 +183,13 @@ func (cr *coordRun) restore(path string) error {
 
 // replay re-executes every tick from the run start up to (excluding) the
 // cursor exactly as run does — the kernel decides which ticks to skip —
-// with StepHook, the run hooks and checkpoint writes suppressed, then
+// without polling the run hooks or writing checkpoints, then
 // brings the kernel current through the tick before the cursor, as the
 // checkpoint's writer did. Observability events and counters are
 // deliberately re-recorded during replay: that rebuilds the digest chain
 // the verification (and the resumed run's continuing journal) depends on.
 func (cr *coordRun) replay(cursor time.Duration) error {
 	k := cr.kern
-	cr.replaying = true
-	defer func() { cr.replaying = false }()
 	for now := cr.start; now < cursor; now += cr.spec.Step {
 		if k.skip(now) {
 			continue

@@ -130,16 +130,9 @@ type CoordSpec struct {
 	// Obs attaches an observability sink to the whole run: controllers,
 	// guards, admission queue, rack watchdogs, and the fault injector count
 	// into its registry and journal to its flight recorder, and the run
-	// updates fleet gauges (msb.*, charge.*) every tick. Nil disables
-	// instrumentation.
+	// updates fleet gauges (msb.*, charge.*) every executed tick. Nil
+	// disables instrumentation.
 	Obs *obs.Sink
-	// StepHook, when non-nil, is called at the end of every simulation tick
-	// with the current virtual time — after controllers, guards, and gauge
-	// updates. coordd's resident run uses it to publish progress and pace
-	// against the wall clock; tests use it to scrape the HTTP surface
-	// mid-run. It is suppressed while a resume is replaying ticks it already
-	// ran.
-	StepHook func(now time.Duration)
 	// Checkpoint, when non-empty, writes a crash-safe checkpoint of the run
 	// to this path (atomically: temp file + fsync + rename) every
 	// CheckpointEvery of virtual time, so a killed process can resume
@@ -160,12 +153,15 @@ type CoordSpec struct {
 	// Checkpoint is set) and the partial result returns with Interrupted
 	// set. coordsim wires SIGTERM to this.
 	Interrupt func() bool
-	// HardStop, when non-nil, is polled before every tick; returning true
-	// aborts the run abruptly — no final checkpoint, ErrAborted returned —
-	// simulating a SIGKILL for the kill-and-resume chaos harness. An
-	// engine-backed run, fresh or resumed, also polls it with the window
-	// start before each virtual minute of its pre-roll, so a request
-	// deadline can cut a long set-up short.
+	// HardStop, when non-nil, is polled with the virtual time of every tick
+	// before it runs, the event kernel's skipped ticks included (a resume's
+	// replay never polls it); returning true aborts the run abruptly — no
+	// final checkpoint, ErrAborted returned — simulating a SIGKILL for the
+	// kill-and-resume chaos harness. An engine-backed run, fresh or resumed,
+	// also polls it with the window start before each virtual minute of its
+	// pre-roll, so a request deadline can cut a long set-up short. coordd's
+	// resident run publishes its progress and paces itself from these polls;
+	// tests observe the run mid-flight through them.
 	HardStop func(now time.Duration) bool
 }
 
@@ -397,11 +393,9 @@ type coordRun struct {
 
 	// cursor is the virtual time of the next tick to execute; a restore
 	// moves it to the checkpoint's resume point. nextCkpt is the next
-	// checkpoint-write time; replaying suppresses StepHook while a resume
-	// re-executes ticks it already ran.
-	cursor    time.Duration
-	nextCkpt  time.Duration
-	replaying bool
+	// checkpoint-write time.
+	cursor   time.Duration
+	nextCkpt time.Duration
 
 	// kern is the event-driven kernel, non-nil only when the spec selects
 	// it and kernelFallback finds no reason to refuse; run() asks it whether
@@ -489,6 +483,8 @@ func newCoordRunAt(spec CoordSpec, place func(*coordRun) (scope *power.Node, at 
 	if spec.TripRule != nil {
 		msb.Walk(func(nd *power.Node) { nd.SetTripRule(*spec.TripRule) })
 	}
+	var nodes []*power.Node
+	msb.Walk(func(nd *power.Node) { nodes = append(nodes, nd) })
 	var engine *sim.Engine
 	if spec.CommandLatency > 0 || spec.Distributed {
 		engine = sim.NewEngine()
@@ -545,9 +541,9 @@ func newCoordRunAt(spec CoordSpec, place func(*coordRun) (scope *power.Node, at 
 			Obs:        spec.Obs,
 			Grid:       gridPol,
 		}
-		msb.Walk(func(nd *power.Node) {
+		for _, nd := range nodes {
 			if nd.Level() != power.LevelRPP {
-				return
+				continue
 			}
 			var leafRacks []*rack.Rack
 			for _, l := range nd.Loads() {
@@ -556,32 +552,13 @@ func newCoordRunAt(spec CoordSpec, place func(*coordRun) (scope *power.Node, at 
 			// Leaves monitor and execute; the MSB controller plans.
 			asyncLeaves = append(asyncLeaves,
 				dynamo.NewAsyncLeafOpts(fabric, engine, nd, leafRacks, spec.Mode, cfg, false, spec.Step, opts))
-		})
+		}
 		asyncUpper = dynamo.NewAsyncUpperOpts(fabric, engine, msb, asyncLeaves, spec.Mode, cfg, spec.Step, opts)
 		if spec.Guard != nil {
-			// The async plane has no Hierarchy to own guards; build them
-			// directly. They act over rack handles (the server-management
-			// plane), so they need no bus endpoints.
-			queue := asyncUpper.StormQueue()
-			msb.Walk(func(nd *power.Node) {
-				var rs []*rack.Rack
-				for _, l := range nd.RackLoads() {
-					rs = append(rs, l.(*rack.Rack))
-				}
-				g := storm.NewGuard(nd, rs, cfg, *spec.Guard)
-				if queue != nil {
-					g.AttachQueue(queue)
-				}
-				if gridPol != nil && nd == msb {
-					// The interconnection cap constrains the site feed:
-					// only the MSB guard sheds against it.
-					g.SetCapacity(gridPol.CapAt)
-				}
-				if spec.Obs != nil {
-					g.SetObs(spec.Obs)
-				}
-				guards = append(guards, g)
-			})
+			// The async plane has no Hierarchy to own guards. They act over
+			// rack handles (the server-management plane), so they need no
+			// bus endpoints.
+			guards = dynamo.NewGuards(msb, nodes, cfg, *spec.Guard, asyncUpper.StormQueue(), gridPol, spec.Obs)
 		}
 	} else {
 		hier, err = dynamo.BuildHierarchyOpts(msb, spec.Mode, cfg, dynamo.HierarchyOptions{
@@ -627,8 +604,8 @@ func newCoordRunAt(spec CoordSpec, place func(*coordRun) (scope *power.Node, at 
 		guards:      guards,
 		gridPol:     gridPol,
 		deadlines:   core.DefaultDeadlines(),
+		nodes:       nodes,
 	}
-	msb.Walk(func(nd *power.Node) { cr.nodes = append(cr.nodes, nd) })
 	// The transient lasts the specified outage duration, or as long as the
 	// target DOD takes at the aggregate load of the moment it hits.
 	scope, at := place(cr)
@@ -823,9 +800,6 @@ func (cr *coordRun) tick(now time.Duration) (done bool) {
 		if p := cr.msb.Power(); p > res.PeakPower {
 			res.PeakPower = p
 		}
-	}
-	if spec.StepHook != nil && !cr.replaying {
-		spec.StepHook(now)
 	}
 
 	if now > cr.restoreAt {

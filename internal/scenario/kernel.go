@@ -76,12 +76,12 @@ const (
 // faulted read draws from the shared fault stream; the distributed plane
 // and command latency queue work in the run's own engine; watchdogs and
 // heartbeats age per tick; StaleAfter makes telemetry freshness a function
-// of wall-clock distance; StepHook observes every tick by contract;
-// un-relaxed lower levels would need a headroom bound per breaker, not just
-// at the MSB; and the demand envelope needs the synthetic generator's
-// analytic rate bound, which an external trace does not have. The grid
-// plane is not among them: its signals change only at edges the policy
-// knows in advance, which become wakes.
+// of wall-clock distance; un-relaxed lower levels would need a headroom
+// bound per breaker, not just at the MSB; and the demand envelope needs the
+// synthetic generator's analytic rate bound, which an external trace does
+// not have. The grid plane is not among them: its signals change only at
+// edges the policy knows in advance, which become wakes. Nor are the run
+// hooks: HardStop and Interrupt are polled on skipped ticks too.
 func kernelFallback(spec *CoordSpec, src trace.Source) string {
 	switch {
 	case spec.Faults.Enabled():
@@ -94,8 +94,6 @@ func kernelFallback(spec *CoordSpec, src trace.Source) string {
 		return "watchdog"
 	case spec.StaleAfter > 0:
 		return "stale telemetry"
-	case spec.StepHook != nil:
-		return "step hook"
 	case !*spec.RelaxLowerLevels:
 		return "lower levels not relaxed"
 	}

@@ -111,7 +111,7 @@ func TestEndurancePostponedWaitCountsAsLoss(t *testing.T) {
 	charging := make([]time.Duration, 30)
 	postponed := make([]bool, 30)
 	var racks []*rack.Rack
-	dense.StepHook = func(time.Duration) {
+	dense.HardStop = func(time.Duration) bool {
 		for i, r := range racks {
 			if r.InputUp() && r.PendingDOD() > 0 {
 				postponed[i] = true
@@ -123,6 +123,7 @@ func TestEndurancePostponedWaitCountsAsLoss(t *testing.T) {
 				charging[i] += dense.Step
 			}
 		}
+		return false
 	}
 	res := runAt(t, dense, func(cr *coordRun) (*power.Node, time.Duration) {
 		racks = cr.racks
@@ -246,7 +247,6 @@ func TestKernelFallbackNamesFeature(t *testing.T) {
 		{"latency", func(s *CoordSpec) { s.CommandLatency = 20 * time.Second }, "command latency"},
 		{"watchdog", func(s *CoordSpec) { s.WatchdogTTL = 30 * time.Second }, "watchdog"},
 		{"stale", func(s *CoordSpec) { s.StaleAfter = 10 * time.Second }, "stale telemetry"},
-		{"hook", func(s *CoordSpec) { s.StepHook = func(time.Duration) {} }, "step hook"},
 		{"lower levels", func(s *CoordSpec) { s.RelaxLowerLevels = &notRelaxed }, "lower levels not relaxed"},
 		{"external trace", func(s *CoordSpec) { s.Trace = external }, "external trace"},
 	} {

@@ -1,8 +1,10 @@
 package storm
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"coordcharge/internal/core"
@@ -80,6 +82,7 @@ type Guard struct {
 	quiet      bool
 
 	paused []*rack.Rack // self-managed paused charges (no queue attached)
+	order  []*rack.Rack // ShedOrder's buffer, reused every fire
 	capped map[*rack.Rack]bool
 
 	metrics GuardMetrics
@@ -245,23 +248,54 @@ func (g *Guard) Idle() bool {
 	return !g.over && !g.fired && !g.quiet && !g.hasActions()
 }
 
-// shedOrder returns the candidate racks in shedding order: reverse priority
-// (P3 first), deepest discharge first, then name — the same reverse order
-// the planner's emergency throttle uses.
-func (g *Guard) shedOrder() []*rack.Rack {
-	order := make([]*rack.Rack, len(g.racks))
-	copy(order, g.racks)
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := order[i], order[j]
-		if a.Priority() != b.Priority() {
-			return a.Priority() > b.Priority()
+// ShedOrder writes racks into dst in shedding order and returns it: reverse
+// priority (P3 first), deepest discharge first, then name — the same
+// reverse order the planner's emergency throttle uses. With unique names
+// the order is total, so it does not depend on the order of racks. dst's
+// storage is reused, so a caller that keeps the result as its buffer sorts
+// without allocating.
+func ShedOrder(dst, racks []*rack.Rack) []*rack.Rack {
+	dst = append(dst[:0], racks...)
+	slices.SortStableFunc(dst, func(a, b *rack.Rack) int {
+		if pa, pb := a.Priority(), b.Priority(); pa != pb {
+			return cmp.Compare(pb, pa)
 		}
-		if a.BatteryDOD() != b.BatteryDOD() {
-			return a.BatteryDOD() > b.BatteryDOD()
+		if da, db := a.BatteryDOD(), b.BatteryDOD(); da != db {
+			return cmp.Compare(db, da)
 		}
-		return a.Name() < b.Name()
+		return strings.Compare(a.Name(), b.Name())
 	})
-	return order
+	return dst
+}
+
+// ShedCharging walks the charge-shedding rungs of the ladder over order,
+// re-measuring node before every rack, until its draw fits limit: (1) demote
+// every charge on input above the safe current to it, then (2) pause the
+// charges still running. demoted and paused run after each action, for the
+// caller's counters, journal and admission queue. fits reports whether the
+// draw fitted before the ladder ran out of charges to shed.
+func ShedCharging(node *power.Node, order []*rack.Rack, limit units.Power, safe units.Current, demoted, paused func(*rack.Rack)) (fits bool) {
+	for _, r := range order {
+		if node.Power() <= limit {
+			return true
+		}
+		if !r.InputUp() || !r.Charging() || r.Pack().Setpoint() <= safe {
+			continue
+		}
+		r.OverrideCurrent(safe)
+		demoted(r)
+	}
+	for _, r := range order {
+		if node.Power() <= limit {
+			return true
+		}
+		if !r.InputUp() || !r.Charging() {
+			continue
+		}
+		r.Postpone()
+		paused(r)
+	}
+	return false
 }
 
 // shed walks the escalation ladder within one tick, re-measuring the breaker
@@ -280,35 +314,16 @@ func (g *Guard) shed(now time.Duration) {
 				"limit_w", fmt.Sprintf("%.0f", float64(g.limitAt(now))))
 		}
 	}
-	limit := g.limitAt(now)
 	safe := g.ccfg.SafeCurrent()
-	order := g.shedOrder()
-
-	// Rung 1: demote charging setpoints to the safe current.
-	for _, r := range order {
-		if g.node.Power() <= limit {
-			return
-		}
-		if !r.InputUp() || !r.Charging() || r.Pack().Setpoint() <= safe {
-			continue
-		}
-		r.OverrideCurrent(safe)
+	g.order = ShedOrder(g.order, g.racks)
+	if ShedCharging(g.node, g.order, g.limitAt(now), safe, func(r *rack.Rack) {
 		g.metrics.Demoted++
 		g.cDemoted.Inc()
 		if g.sink != nil {
 			g.sink.Event(now, g.comp(), "demote",
 				"rack", r.Name(), "amps", fmt.Sprintf("%d", int(safe)))
 		}
-	}
-	// Rung 2: pause charges outright.
-	for _, r := range order {
-		if g.node.Power() <= limit {
-			return
-		}
-		if !r.InputUp() || !r.Charging() {
-			continue
-		}
-		r.Postpone()
+	}, func(r *rack.Rack) {
 		g.metrics.Paused++
 		g.cPaused.Inc()
 		if g.sink != nil {
@@ -319,6 +334,8 @@ func (g *Guard) shed(now time.Duration) {
 		} else {
 			g.paused = append(g.paused, r)
 		}
+	}) {
+		return
 	}
 	// Rung 3 (final resort): charge shedding was not enough. Cap servers
 	// only when the draw still sits beyond the trip threshold. Both the
@@ -332,7 +349,7 @@ func (g *Guard) shed(now time.Duration) {
 		return
 	}
 	var cut units.Power
-	for _, r := range order {
+	for _, r := range g.order {
 		over := g.node.Power() - breaker
 		if over <= 0 {
 			break

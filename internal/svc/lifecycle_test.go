@@ -69,6 +69,17 @@ func TestResidentRunsToIdle(t *testing.T) {
 	}
 }
 
+// TestResidentSkipsTicks: the resident's progress and pacing ride HardStop,
+// which the run polls on skipped ticks too, so the resident runs on the
+// event kernel like any other run and a quiet resident skips ticks.
+func TestResidentSkipsTicks(t *testing.T) {
+	s := newTestService(t, Options{Resident: smallResident()})
+	waitState(t, s, StateIdle, 30*time.Second)
+	if skipped := s.SimSink().Reg.Snapshot().Gauges["sim.ticks_skipped"]; skipped <= 0 {
+		t.Fatalf("sim.ticks_skipped = %v, want > 0", skipped)
+	}
+}
+
 // drainMidRun boots a paced service, waits for some resident progress, and
 // drains it so a final checkpoint lands in dir.
 func drainMidRun(t *testing.T, dir string, fresh bool) {

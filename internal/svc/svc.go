@@ -140,8 +140,8 @@ type Service struct {
 	draining   atomic.Bool
 	drainFlag  atomic.Bool  // resident Interrupt: checkpoint and stop
 	abortFlag  atomic.Bool  // resident HardStop: watchdog abort
-	lastTickNS atomic.Int64 // virtual time of the resident run's last tick
-	lastBeatNS atomic.Int64 // elapsed() at the resident run's last tick (watchdog heartbeat)
+	lastTickNS atomic.Int64 // virtual time of the tick the resident run has reached
+	lastBeatNS atomic.Int64 // elapsed() when the resident run reached it (watchdog heartbeat)
 
 	residentDone chan struct{} // closed when the resident goroutine exits
 	watchdogStop chan struct{} // closed to retire the stall watchdog
@@ -212,8 +212,7 @@ func New(opt Options) (*Service, error) {
 		}
 	}
 	spec.Interrupt = s.drainFlag.Load
-	spec.HardStop = func(time.Duration) bool { return s.abortFlag.Load() }
-	spec.StepHook = s.residentStepHook(spec.Step)
+	spec.HardStop = s.residentHardStop(spec.Step)
 	go s.runResident(spec)
 	if opt.WatchdogTTL > 0 {
 		go s.stallWatchdog(opt.WatchdogTTL) //coordvet:detached process-lifetime watchdog; exits with the daemon
@@ -264,9 +263,15 @@ func (s *Service) State() string {
 	return s.state
 }
 
-// residentStepHook publishes tick progress (virtual time for status, wall
-// time for the stall watchdog) and applies pacing.
-func (s *Service) residentStepHook(step time.Duration) func(time.Duration) {
+// residentHardStop is the resident run's HardStop: it reports the stall
+// watchdog's abort, and because the run polls it before every tick (skipped
+// ticks included) it also publishes tick progress (virtual time for status,
+// wall time for the stall watchdog) and applies pacing. Only a poll that
+// moves virtual time past the previous one counts as a tick: a pre-roll
+// polls the window start over and over and a resume's replay does not poll,
+// so neither paces nor arms the watchdog. Each counted tick waits one tick's
+// share of the wall clock.
+func (s *Service) residentHardStop(step time.Duration) func(time.Duration) bool {
 	var wait time.Duration
 	if s.opt.Pace > 0 {
 		if step == 0 {
@@ -274,17 +279,21 @@ func (s *Service) residentStepHook(step time.Duration) func(time.Duration) {
 		}
 		wait = time.Duration(float64(step) / s.opt.Pace)
 	}
-	first := true
-	return func(now time.Duration) {
-		s.lastTickNS.Store(int64(now))
-		s.lastBeatNS.Store(int64(s.elapsed()))
-		if first {
-			first = false
-			s.setState(StateRunning)
+	last, running := time.Duration(-1), false
+	return func(now time.Duration) bool {
+		if last >= 0 && now > last {
+			s.lastTickNS.Store(int64(now))
+			s.lastBeatNS.Store(int64(s.elapsed()))
+			if !running {
+				running = true
+				s.setState(StateRunning)
+			}
+			if wait > 0 {
+				s.clock.Sleep(wait)
+			}
 		}
-		if wait > 0 {
-			s.clock.Sleep(wait)
-		}
+		last = now
+		return s.abortFlag.Load()
 	}
 }
 
@@ -347,9 +356,9 @@ func (s *Service) stallWatchdog(ttl time.Duration) {
 		}
 		last := time.Duration(s.lastBeatNS.Load())
 		if last == 0 {
-			// Still replaying toward a checkpoint boundary (StepHook is
-			// suppressed during replay) or constructing; the first live tick
-			// arms the heartbeat.
+			// Still constructing or replaying toward a checkpoint boundary
+			// (neither moves the virtual time HardStop sees); the first
+			// live tick arms the heartbeat.
 			continue
 		}
 		if s.elapsed()-last > ttl {

@@ -44,7 +44,7 @@ func getJSON(t *testing.T, url string, into any) {
 }
 
 // TestObsEndpointsLiveDuringStorm runs the storm scenario with the HTTP
-// surface attached, scrapes /metrics from a StepHook while the admission
+// surface attached, scrapes /metrics from HardStop while the admission
 // queue is non-empty (i.e. mid-storm), and cross-checks both the mid-run
 // scrape and the final scrape against the simulation's own summary.
 func TestObsEndpointsLiveDuringStorm(t *testing.T) {
@@ -60,12 +60,12 @@ func TestObsEndpointsLiveDuringStorm(t *testing.T) {
 	depth := sink.Gauge("storm.queue_depth")
 	var mid obs.Snapshot
 	scraped := false
-	spec.StepHook = func(now time.Duration) {
-		if scraped || depth.Value() <= 0 {
-			return
+	spec.HardStop = func(time.Duration) bool {
+		if !scraped && depth.Value() > 0 {
+			getJSON(t, srv.URL+"/metrics", &mid)
+			scraped = true
 		}
-		getJSON(t, srv.URL+"/metrics", &mid)
-		scraped = true
+		return false
 	}
 
 	res, err := scenario.RunCoordinated(spec)
